@@ -13,9 +13,9 @@
 //!   front-end mode) — `live` is the classic decode-and-execute front-end,
 //!   `replay` is the decode-once trace-replay front-end the sweep paths use
 //!   by default (including its one-time capture cost).
-//! * **Sweep** (`--sweep`): the fig10 full sweep (whole suite x paper
-//!   policies x 48 registers) with a cold cache, cold (live) vs
-//!   trace-replay, recording wall time and aggregate throughput.
+//! * **Sweep** (`--sweep`): the fig10 sweep exactly as `earlyreg-exp`
+//!   runs it — select, plan, then `engine::simulate` with no point cache —
+//!   live vs trace-replay, recording wall time and aggregate throughput.
 //! * **Regression gate** (`--baseline FILE`): compare this run's per-point
 //!   geometric-mean throughput against a committed baseline JSON and exit
 //!   non-zero if it regressed more than `--max-regression` percent.
@@ -40,14 +40,12 @@
 //!                        [--profile]
 
 use earlyreg_core::{registry, ReleasePolicy};
-use earlyreg_experiments::config::ExperimentOptions;
-use earlyreg_experiments::runner::{cross_points, run_sweep_with_lane_stats};
+use earlyreg_experiments::config::{ExperimentOptions, Scenario};
+use earlyreg_experiments::engine::{self, PlanContext};
 use earlyreg_sim::profile::prof;
-use earlyreg_sim::{
-    decoded_trace_for, LaneStats, MachineConfig, RunLimits, Simulator, TRACE_SLACK,
-};
+use earlyreg_sim::{decoded_trace_for, MachineConfig, RunLimits, Simulator, TRACE_SLACK};
 use earlyreg_workloads::registry as workloads_registry;
-use earlyreg_workloads::{shared_suite, workload_with_target_instructions, Scale, WorkloadKind};
+use earlyreg_workloads::{workload_with_target_instructions, Scale, WorkloadKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -135,14 +133,12 @@ impl Measurement {
     }
 }
 
-/// One timed sweep pass (cold cache): wall time + aggregate throughput +
-/// lane-group occupancy.
+/// One timed sweep pass (cold cache): wall time + aggregate throughput.
 struct SweepMeasurement {
     mode: &'static str,
     points: usize,
     committed: u64,
     seconds: f64,
-    lane_stats: LaneStats,
 }
 
 impl SweepMeasurement {
@@ -211,41 +207,37 @@ fn write_profile_json(path: &str, captures: &[ProfileCapture]) {
     println!("wrote {path}");
 }
 
-/// The fig10 full sweep (whole suite x paper policies x 48 registers) with a
-/// cold point cache, in `mode` (`live` forces `EARLYREG_NO_REPLAY`).
+/// The fig10 sweep with no point cache, in `mode` (`live` forces
+/// `EARLYREG_NO_REPLAY`): the select → plan → simulate path `earlyreg-exp`
+/// runs.  The workload suite is built before the clock starts (a fresh one
+/// per mode, so the replay pass pays its own trace captures inside the
+/// timed region).
 fn run_fig10_sweep(mode: &'static str, max_instructions: u64) -> SweepMeasurement {
     let options = ExperimentOptions {
         scale: Scale::Smoke,
         threads: 0,
         max_instructions,
     };
-    // fig10's default plan covers the paper's Table 3 suite only, so the
-    // timed sweep filters the registry the same way.  `shared_suite` is the
-    // same memoized handle `run_sweep` uses internally: point enumeration
-    // needs the suite anyway, so the timed region below measures simulation,
-    // not a redundant second suite build.
-    let workloads: Vec<_> = shared_suite(options.scale)
-        .iter()
-        .filter(|w| w.spec.paper)
-        .cloned()
-        .collect();
-    let points = cross_points(&workloads, &registry::PAPER_POLICIES, &[48]);
-    let n = points.len();
+    let ctx = PlanContext::new(options, Scenario::table2());
+    let experiments = engine::select(&["fig10".to_string()]).expect("fig10 is registered");
     if mode == "live" {
         std::env::set_var("EARLYREG_NO_REPLAY", "1");
     } else {
         std::env::remove_var("EARLYREG_NO_REPLAY");
     }
     let start = Instant::now();
-    let (results, lane_stats) = run_sweep_with_lane_stats(&options, points);
+    let plan: Vec<_> = experiments.iter().flat_map(|e| e.plan(&ctx)).collect();
+    let results = engine::simulate(&ctx, &plan);
     let seconds = start.elapsed().as_secs_f64();
     std::env::remove_var("EARLYREG_NO_REPLAY");
     SweepMeasurement {
         mode,
-        points: n,
-        committed: results.iter().map(|r| r.stats.committed).sum(),
+        points: results.len(),
+        committed: engine::dedup_plan(plan)
+            .iter()
+            .map(|p| results.stats(p).expect("every point resolves").committed)
+            .sum(),
         seconds,
-        lane_stats,
     }
 }
 
@@ -316,7 +308,7 @@ fn main() {
                 let start = Instant::now();
                 let mut sim = if mode == "replay" {
                     // The capture is memoized per program, so only the first
-                    // replay lane of each workload pays it — exactly like a
+                    // replay run of each workload pays it — exactly like a
                     // sweep.  Time it inside the measurement to stay honest.
                     let trace = decoded_trace_for(
                         &workload.program,
@@ -364,15 +356,12 @@ fn main() {
                 let m = run_fig10_sweep(mode, args.instructions);
                 println!(
                     "fig10 sweep {:<7} {:>3} points, {:>12} instructions in {:>7.3}s  ->  \
-                     {:>10.0} sim-instr/s  (lane occupancy {:.2}/{} over {} rounds)",
+                     {:>10.0} sim-instr/s",
                     m.mode,
                     m.points,
                     m.committed,
                     m.seconds,
                     m.mips(),
-                    m.lane_stats.occupancy(),
-                    earlyreg_experiments::runner::MAX_LANE_WIDTH,
-                    m.lane_stats.rounds,
                 );
                 maybe_profile(&args, &format!("fig10 sweep/{mode}"), &mut profile_captures);
                 m
@@ -402,22 +391,14 @@ fn main() {
     if !sweeps.is_empty() {
         json.push_str(",\n  \"sweep\": {\n    \"experiment\": \"fig10\",\n    \"passes\": [\n");
         for (i, m) in sweeps.iter().enumerate() {
-            let ls = &m.lane_stats;
             let _ = writeln!(
                 json,
-                "      {{\"mode\": \"{}\", \"points\": {}, \"instructions\": {}, \"wall_seconds\": {:.6}, \"sim_instr_per_host_sec\": {:.1}, \"lanes\": {{\"lanes\": {}, \"rounds\": {}, \"live_lane_rounds\": {}, \"full_rounds\": {}, \"detached_lane_rounds\": {}, \"lane_cycles\": {}, \"occupancy\": {:.4}}}}}{}",
+                "      {{\"mode\": \"{}\", \"points\": {}, \"instructions\": {}, \"wall_seconds\": {:.6}, \"sim_instr_per_host_sec\": {:.1}}}{}",
                 m.mode,
                 m.points,
                 m.committed,
                 m.seconds,
                 m.mips(),
-                ls.lanes,
-                ls.rounds,
-                ls.live_lane_rounds,
-                ls.full_rounds,
-                ls.detached_lane_rounds,
-                ls.lane_cycles,
-                ls.occupancy(),
                 if i + 1 < sweeps.len() { "," } else { "" },
             );
         }

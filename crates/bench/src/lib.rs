@@ -1,10 +1,6 @@
-//! Shared helpers for the Criterion benchmarks in `benches/`.
-//!
-//! Every paper table/figure has a corresponding benchmark target that runs a
-//! scaled-down version of the experiment (smoke-scale workloads, a subset of
-//! the benchmark suite) so that `cargo bench` finishes quickly while still
-//! exercising exactly the same code paths as the full experiment binaries in
-//! `earlyreg-experiments`.
+//! Small helpers for running one smoke-scale simulation point on the
+//! Table 2 machine.  The crate's binaries (`bench_sim_throughput`,
+//! `bench_serve_chaos`) measure host throughput and serving behaviour.
 
 use earlyreg_core::ReleasePolicy;
 use earlyreg_sim::{MachineConfig, RunLimits, SimStats, Simulator};

@@ -9,7 +9,6 @@
 //! earlyreg-fuzz [--seed N] [--programs N] [--policies a,b,...]
 //!               [--exception-interval N] [--fixture-out DIR]
 //!               [--mutant] [--replay PATH] [--asm-corpus [--reps N]]
-//!               [--lanes]
 //! ```
 //!
 //! `--asm-corpus` checks the second corpus instead of fuzzing: every
@@ -22,25 +21,15 @@
 //! `--mutant` injects the release-at-rename mutant instead of the registry
 //! scheme — the run *must* find violations (exit 0 iff it did), which makes
 //! the fuzzer's own detection power testable from CI.
-//! `--lanes` runs every check **lane-stepped**: all selected policies step
-//! through each program together in chunked round-robin (the sweep engine's
-//! stepping discipline), each shadowed by its own emulator.  Combined with
-//! `--mutant`, the injected scheme is the cross-lane contamination mutant —
-//! individually conformant clones that go rogue when their calls interleave
-//! across lanes — which the lane-stepped harness must catch.
 
 use earlyreg_conformance::{
-    asm_corpus, check_lane_stepped, check_program, check_with_scheme, load_dir, minimize,
-    plan_blocks, CheckConfig, CrossLaneReleaseMutant, Fixture, HazardConfig, ReleaseAtRenameMutant,
+    asm_corpus, check_program, check_with_scheme, load_dir, minimize, plan_blocks, CheckConfig,
+    Fixture, HazardConfig, ReleaseAtRenameMutant,
 };
-use earlyreg_core::{registry, ReleasePolicy, ReleaseScheme, SchemeSeed};
+use earlyreg_core::{registry, ReleasePolicy};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-
-/// Lockstep chunk for `--lanes` checks: small enough that lanes interleave
-/// many times per program.
-const LANE_CHUNK: u64 = 256;
 
 struct Options {
     seed: u64,
@@ -52,12 +41,11 @@ struct Options {
     replay: Option<PathBuf>,
     asm_corpus: bool,
     reps: u64,
-    lanes: bool,
 }
 
 const USAGE: &str = "usage: earlyreg-fuzz [--seed N] [--programs N] [--policies a,b,...] \
                      [--exception-interval N] [--fixture-out DIR] [--mutant] [--replay PATH] \
-                     [--asm-corpus [--reps N]] [--lanes]";
+                     [--asm-corpus [--reps N]]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -70,7 +58,6 @@ fn parse_args() -> Result<Options, String> {
         replay: None,
         asm_corpus: false,
         reps: 1,
-        lanes: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -95,7 +82,6 @@ fn parse_args() -> Result<Options, String> {
             "--replay" => opts.replay = Some(PathBuf::from(value("--replay")?)),
             "--asm-corpus" => opts.asm_corpus = true,
             "--reps" => opts.reps = parse_num(&value("--reps")?)?,
-            "--lanes" => opts.lanes = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -150,8 +136,9 @@ fn check_asm_corpus(opts: &Options) -> ExitCode {
     );
     let mut failed = false;
     for (id, program) in &corpus {
-        for (policy, outcome) in check_selected(opts, program) {
-            match outcome {
+        for &policy in &opts.policies {
+            let check = base_config(opts, policy);
+            match check_program(&check, program) {
                 Ok(report) => println!(
                     "  {id:<10} {:<14} ok ({} instructions, {} cycles)",
                     policy.descriptor().id,
@@ -196,35 +183,21 @@ fn fuzz(opts: &Options) -> ExitCode {
         let hazard = HazardConfig::from_case_seed(case_seed);
         let blocks = plan_blocks(&hazard);
         let program = Arc::new(earlyreg_conformance::compile(&hazard, &blocks));
-        for (policy, outcome) in check_selected(opts, &program) {
+        for &policy in &opts.policies {
             let check = base_config(opts, policy);
             checks += 1;
-            if let Err(violation) = outcome {
+            if let Err(violation) = check_program(&check, &program) {
                 eprintln!(
                     "VIOLATION: policy {id} on case {case} (case seed {case_seed:#x}): {violation}",
                     id = policy.descriptor().id
                 );
-                let fixture = if opts.lanes {
-                    minimize_lanes_to_fixture(
-                        opts,
-                        &check,
-                        hazard,
-                        blocks.clone(),
-                        violation,
-                        format!(
-                            "fuzz case {case} (lane-stepped), policy {}",
-                            policy.descriptor().id
-                        ),
-                    )
-                } else {
-                    minimize_to_fixture(
-                        &check,
-                        hazard,
-                        blocks.clone(),
-                        violation,
-                        format!("fuzz case {case}, policy {}", policy.descriptor().id),
-                    )
-                };
+                let fixture = minimize_to_fixture(
+                    &check,
+                    hazard,
+                    blocks.clone(),
+                    violation,
+                    format!("fuzz case {case}, policy {}", policy.descriptor().id),
+                );
                 let path = opts.fixture_out.join(format!(
                     "violation-{}-{case_seed:016x}.json",
                     policy.descriptor().id
@@ -244,41 +217,9 @@ fn fuzz(opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Check one program under every selected policy, sequentially or (with
-/// `--lanes`) lane-stepped in one lockstep group.
-fn check_selected(
-    opts: &Options,
-    program: &Arc<earlyreg_isa::Program>,
-) -> Vec<(
-    ReleasePolicy,
-    Result<earlyreg_conformance::CheckReport, earlyreg_conformance::Violation>,
-)> {
-    if opts.lanes {
-        let lanes = opts
-            .policies
-            .iter()
-            .map(|&policy| (base_config(opts, policy), SchemeSeed::default()))
-            .collect();
-        opts.policies
-            .iter()
-            .copied()
-            .zip(check_lane_stepped(lanes, program, LANE_CHUNK))
-            .collect()
-    } else {
-        opts.policies
-            .iter()
-            .map(|&policy| (policy, check_program(&base_config(opts, policy), program)))
-            .collect()
-    }
-}
-
 /// Self-test mode: inject the release-at-rename mutant; success means the
-/// harness caught it.  With `--lanes` the injected scheme is instead the
-/// cross-lane contamination mutant, stepped across two lockstep lanes.
+/// harness caught it.
 fn fuzz_mutant(opts: &Options) -> ExitCode {
-    if opts.lanes {
-        return fuzz_cross_lane_mutant(opts);
-    }
     println!(
         "mutant self-test: release-at-rename over up to {} programs (seed {:#x})",
         opts.programs, opts.seed
@@ -313,48 +254,6 @@ fn fuzz_mutant(opts: &Options) -> ExitCode {
     }
     eprintln!(
         "mutant SURVIVED {} programs — the harness has lost its teeth",
-        opts.programs
-    );
-    ExitCode::FAILURE
-}
-
-/// `--mutant --lanes`: two lanes share a [`CrossLaneReleaseMutant`] clone
-/// family — each clone is conformant run alone, but lockstep interleaving
-/// contaminates whichever lane resumes after the other, and the lane-stepped
-/// harness must catch it through its existing violation checks.
-fn fuzz_cross_lane_mutant(opts: &Options) -> ExitCode {
-    println!(
-        "mutant self-test: cross-lane contamination over up to {} programs (seed {:#x})",
-        opts.programs, opts.seed
-    );
-    for case in 0..opts.programs {
-        let case_seed = opts
-            .seed
-            .wrapping_add(case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let hazard = HazardConfig::from_case_seed(case_seed);
-        let blocks = plan_blocks(&hazard);
-        let program = Arc::new(earlyreg_conformance::compile(&hazard, &blocks));
-        let check = base_config(opts, ReleasePolicy::Conventional);
-        let family = CrossLaneReleaseMutant::new();
-        let lanes = (0..2)
-            .map(|_| {
-                (
-                    check,
-                    SchemeSeed {
-                        kill_plan: None,
-                        scheme_override: Some(family.box_clone()),
-                    },
-                )
-            })
-            .collect();
-        let results = check_lane_stepped(lanes, &program, LANE_CHUNK);
-        if let Some(violation) = results.into_iter().find_map(Result::err) {
-            println!("cross-lane mutant caught on case {case}: {violation}");
-            return ExitCode::SUCCESS;
-        }
-    }
-    eprintln!(
-        "cross-lane mutant SURVIVED {} programs — lane stepping is not being checked",
         opts.programs
     );
     ExitCode::FAILURE
@@ -411,44 +310,6 @@ fn base_config(opts: &Options, policy: ReleasePolicy) -> CheckConfig {
     CheckConfig {
         exception_interval: opts.exception_interval,
         ..CheckConfig::new(policy)
-    }
-}
-
-/// Minimize a lane-stepped failure: the predicate re-runs the whole lane
-/// group (a lane-only bug needs the other lanes present to reproduce) and
-/// reports the first lane's violation.
-fn minimize_lanes_to_fixture(
-    opts: &Options,
-    check: &CheckConfig,
-    hazard: HazardConfig,
-    blocks: Vec<earlyreg_conformance::HazardBlock>,
-    violation: earlyreg_conformance::Violation,
-    provenance: String,
-) -> Fixture {
-    let check = *check;
-    let configs: Vec<CheckConfig> = opts
-        .policies
-        .iter()
-        .map(|&policy| base_config(opts, policy))
-        .collect();
-    let min = minimize(hazard, blocks, violation, 400, |cfg, bl| {
-        let program = Arc::new(earlyreg_conformance::compile(cfg, bl));
-        let lanes = configs
-            .iter()
-            .map(|&config| (config, SchemeSeed::default()))
-            .collect();
-        check_lane_stepped(lanes, &program, LANE_CHUNK)
-            .into_iter()
-            .find_map(Result::err)
-    });
-    Fixture {
-        description: format!("{provenance}: {}", min.violation),
-        policy: check.policy.descriptor().id.to_string(),
-        phys_int: check.phys_int,
-        phys_fp: check.phys_fp,
-        exception_interval: check.exception_interval,
-        config: min.config,
-        blocks: min.blocks,
     }
 }
 

@@ -346,179 +346,6 @@ pub fn check_all_policies(
         .collect()
 }
 
-/// One lane of the lane-stepped lockstep check: a simulator shadowed by its
-/// own architectural emulator.
-struct LaneCheck<'p> {
-    config: CheckConfig,
-    sim: Simulator,
-    emu: Emulator<'p>,
-    emu_committed: u64,
-    result: Option<Result<CheckReport, Violation>>,
-}
-
-/// The same differential check as [`check_program`], but **lane-stepped**:
-/// every `(config, seed)` pair becomes one lane, and all lanes advance
-/// through the shared program in chunked round-robin — exactly the stepping
-/// discipline of the sweep path's `LaneGroup` — each shadowed by its own
-/// emulator.  Every structural and lockstep check runs at round boundaries,
-/// so state leaking from one lane into another (a scheme smuggling shared
-/// state across clones, a mis-reset pooled buffer) is caught by the same
-/// [`Violation`] variants as sequential checking, in whichever lane the
-/// contamination first becomes architecturally visible.
-pub fn check_lane_stepped(
-    lanes: Vec<(CheckConfig, SchemeSeed)>,
-    program: &Arc<Program>,
-    chunk: u64,
-) -> Vec<Result<CheckReport, Violation>> {
-    assert!(chunk > 0, "lane chunk must be positive");
-    let mut group: Vec<LaneCheck> = lanes
-        .into_iter()
-        .map(|(config, seed)| LaneCheck {
-            config,
-            sim: Simulator::with_scheme_seed(config.machine(), Arc::clone(program), seed),
-            emu: Emulator::new(program),
-            emu_committed: 0,
-            result: None,
-        })
-        .collect();
-
-    loop {
-        let mut live = false;
-        for lane in &mut group {
-            if lane.result.is_some() {
-                continue;
-            }
-            live = true;
-            let step = catch_unwind(AssertUnwindSafe(|| step_lane_check(lane, program, chunk)));
-            lane.result = match step {
-                Ok(resolved) => resolved,
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    Some(Err(Violation::Panic(msg)))
-                }
-            };
-        }
-        if !live {
-            break;
-        }
-    }
-    group
-        .into_iter()
-        .map(|lane| lane.result.expect("every lane resolved"))
-        .collect()
-}
-
-/// Advance one lane by `chunk` cycles and run the full check battery at the
-/// round boundary.  Returns `Some` once the lane's fate is decided.
-fn step_lane_check(
-    lane: &mut LaneCheck<'_>,
-    program: &Arc<Program>,
-    chunk: u64,
-) -> Option<Result<CheckReport, Violation>> {
-    let done = lane
-        .sim
-        .run_slice(earlyreg_sim::RunLimits::default(), chunk);
-    let cycle = lane.sim.cycle();
-
-    let rename = lane.sim.rename_unit();
-    if let Err(detail) = rename.check_invariants() {
-        return Some(Err(Violation::Invariant { cycle, detail }));
-    }
-    if let Err(detail) = rename.check_checkpoint_coherence() {
-        return Some(Err(Violation::CheckpointCoherence { cycle, detail }));
-    }
-
-    let committed = lane.sim.stats().committed;
-    let mut touched: Vec<usize> = Vec::new();
-    while lane.emu_committed < committed {
-        match lane.emu.step() {
-            Some(outcome) => {
-                if let Some(addr) = outcome.mem_addr {
-                    touched.push(addr);
-                }
-            }
-            None => return Some(Err(Violation::CommitStream { cycle, committed })),
-        }
-        lane.emu_committed += 1;
-    }
-    for class in RegClass::ALL {
-        for index in 0..class.num_logical() {
-            let reg = ArchReg::new(class, index);
-            if lane.sim.arch_value_unreliable(reg) {
-                continue;
-            }
-            let sim_bits = lane.sim.arch_reg_bits(reg);
-            let emu_bits = lane.emu.state.read_raw(reg);
-            if sim_bits != emu_bits {
-                return Some(Err(Violation::LockstepRegister {
-                    cycle,
-                    committed,
-                    reg,
-                    sim: sim_bits,
-                    emu: emu_bits,
-                }));
-            }
-        }
-    }
-    for &addr in &touched {
-        let sim_word = lane.sim.committed_memory()[addr];
-        let emu_word = lane.emu.state.memory[addr];
-        if sim_word != emu_word {
-            return Some(Err(Violation::LockstepMemory {
-                cycle,
-                committed,
-                addr,
-                sim: sim_word,
-                emu: emu_word,
-            }));
-        }
-    }
-
-    if done {
-        let stats = lane.sim.stats();
-        if stats.oracle_violations > 0 {
-            return Some(Err(Violation::OracleViolations(stats.oracle_violations)));
-        }
-        if let VerifyOutcome::Mismatch { description } = verify_against_emulator(&lane.sim, program)
-        {
-            return Some(Err(Violation::FinalState(description)));
-        }
-        return Some(Ok(CheckReport {
-            cycles: stats.cycles,
-            committed: stats.committed,
-        }));
-    }
-    if cycle >= lane.config.max_cycles {
-        return Some(Err(Violation::Hang {
-            cycles: cycle,
-            committed,
-        }));
-    }
-    None
-}
-
-/// Lane-stepped variant of [`check_all_policies`]: one lane per registered
-/// policy, stepped together over the shared program.
-pub fn check_lanes_all_policies(
-    base: &CheckConfig,
-    program: &Arc<Program>,
-    chunk: u64,
-) -> Vec<(ReleasePolicy, Result<CheckReport, Violation>)> {
-    let policies: Vec<ReleasePolicy> = registry::registered().collect();
-    let lanes = policies
-        .iter()
-        .map(|&policy| (CheckConfig { policy, ..*base }, SchemeSeed::default()))
-        .collect();
-    policies
-        .into_iter()
-        .zip(check_lane_stepped(lanes, program, chunk))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,69 +373,5 @@ mod tests {
         for (policy, result) in check_all_policies(&base, &program) {
             result.unwrap_or_else(|v| panic!("policy {policy} violated under exceptions: {v}"));
         }
-    }
-
-    #[test]
-    fn lane_stepped_check_passes_all_policies() {
-        let cfg = HazardConfig::from_case_seed(42);
-        let program = Arc::new(compile(&cfg, &plan_blocks(&cfg)));
-        let base = CheckConfig::new(ReleasePolicy::Conventional);
-        let sequential = check_all_policies(&base, &program);
-        for ((policy, result), (_, seq)) in check_lanes_all_policies(&base, &program, 64)
-            .into_iter()
-            .zip(sequential)
-        {
-            let report =
-                result.unwrap_or_else(|v| panic!("policy {policy} violated lane-stepped: {v}"));
-            assert_eq!(
-                Ok(report),
-                seq.map_err(|v| v.to_string()),
-                "{policy}: lane-stepped report must match sequential"
-            );
-        }
-    }
-
-    /// The lane-stepped harness must catch state leaking *between* lanes:
-    /// sibling clones of [`CrossLaneReleaseMutant`] are individually
-    /// conformant when each lane runs to completion alone, but stepping two
-    /// of them in lockstep rounds contaminates whichever lane resumes after
-    /// the other planned a destination — and the existing violation checks
-    /// must fire.
-    #[test]
-    fn cross_lane_contamination_mutant_is_caught_when_lane_stepped() {
-        use crate::mutant::CrossLaneReleaseMutant;
-        use earlyreg_core::SchemeSeed;
-
-        let cfg = HazardConfig::from_case_seed(7);
-        let program = Arc::new(compile(&cfg, &plan_blocks(&cfg)));
-        let check = CheckConfig::new(ReleasePolicy::Conventional);
-
-        // Sequential control: one clone family, each lane run to completion
-        // before the next starts — conformant.
-        let family = CrossLaneReleaseMutant::new();
-        for _ in 0..2 {
-            crate::harness::check_with_scheme(&check, &program, family.box_clone())
-                .unwrap_or_else(|v| panic!("sequential sibling clones must be clean: {v}"));
-        }
-
-        // Lane-stepped: the same family across two lockstep lanes must be
-        // caught by an existing violation check.
-        let family = CrossLaneReleaseMutant::new();
-        let lanes = (0..2)
-            .map(|_| {
-                (
-                    check,
-                    SchemeSeed {
-                        kill_plan: None,
-                        scheme_override: Some(family.box_clone()),
-                    },
-                )
-            })
-            .collect();
-        let results = check_lane_stepped(lanes, &program, 64);
-        assert!(
-            results.iter().any(|r| r.is_err()),
-            "cross-lane contamination survived the lane-stepped harness: {results:?}"
-        );
     }
 }

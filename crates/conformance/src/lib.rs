@@ -42,8 +42,7 @@ pub use corpus::asm_corpus;
 pub use fixture::{load_dir, Fixture};
 pub use generator::{compile, plan_blocks, HazardBlock, HazardConfig};
 pub use harness::{
-    check_all_policies, check_lane_stepped, check_lanes_all_policies, check_program,
-    check_with_scheme, CheckConfig, CheckReport, Violation,
+    check_all_policies, check_program, check_with_scheme, CheckConfig, CheckReport, Violation,
 };
 pub use minimize::{minimize, Minimized};
-pub use mutant::{CrossLaneReleaseMutant, ReleaseAtRenameMutant};
+pub use mutant::ReleaseAtRenameMutant;

@@ -9,8 +9,6 @@
 //! [`SchemeSeed::scheme_override`]: earlyreg_core::SchemeSeed
 
 use earlyreg_core::{DestPlan, DestQuery, ReleasePolicy, ReleaseScheme};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The canonical unsafe scheme: release the previous version of every
 /// redefined register **at rename time** ([`DestPlan::ReleaseNow`]),
@@ -43,127 +41,11 @@ impl ReleaseScheme for ReleaseAtRenameMutant {
     }
 }
 
-/// A **lane cross-contamination** mutant: every clone of this scheme shares
-/// one cell recording which instance most recently planned a destination.
-/// An instance that observes another instance's calls interleaved with its
-/// own — which only happens when two lanes holding sibling clones are
-/// stepped concurrently, as the lane engine does — permanently degrades into
-/// the unsafe release-at-rename behaviour of [`ReleaseAtRenameMutant`].
-///
-/// Run sequentially (each lane to completion before the next starts), the
-/// shared cell is only ever handed from a finished instance to a starting
-/// one, no interleaving is observed, and the scheme stays a conformant
-/// conventional scheme.  Lane-stepped, the first round boundary that resumes
-/// a different lane poisons it, so the lane-stepped harness **must** report
-/// a violation through its existing checks — proving it detects state that
-/// leaks between lanes, not just per-lane bugs.
-#[derive(Debug)]
-pub struct CrossLaneReleaseMutant {
-    /// Instance that most recently planned a destination (0 = nobody yet).
-    shared_last: Arc<AtomicU64>,
-    /// Instance-id allocator shared by the whole clone family.
-    next_id: Arc<AtomicU64>,
-    /// This instance's id.
-    id: u64,
-    /// Destinations this instance has planned.
-    calls: AtomicU64,
-    /// Sticky: this instance observed interleaving and went rogue.
-    poisoned: AtomicBool,
-}
-
-impl CrossLaneReleaseMutant {
-    /// A fresh clone family: the returned template is instance 1.
-    pub fn new() -> Self {
-        CrossLaneReleaseMutant {
-            shared_last: Arc::new(AtomicU64::new(0)),
-            next_id: Arc::new(AtomicU64::new(2)),
-            id: 1,
-            calls: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-}
-
-impl Default for CrossLaneReleaseMutant {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReleaseScheme for CrossLaneReleaseMutant {
-    fn policy(&self) -> ReleasePolicy {
-        // Reported id only; this scheme never lives in the registry.
-        ReleasePolicy::Conventional
-    }
-
-    fn box_clone(&self) -> Box<dyn ReleaseScheme> {
-        Box::new(CrossLaneReleaseMutant {
-            shared_last: Arc::clone(&self.shared_last),
-            next_id: Arc::clone(&self.next_id),
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            calls: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-        })
-    }
-
-    fn plan_dest(&self, _query: &DestQuery) -> DestPlan {
-        let prev = self.shared_last.swap(self.id, Ordering::Relaxed);
-        let called_before = self.calls.fetch_add(1, Ordering::Relaxed) > 0;
-        if called_before && prev != self.id && prev != 0 {
-            self.poisoned.store(true, Ordering::Relaxed);
-        }
-        if self.poisoned.load(Ordering::Relaxed) {
-            DestPlan::ReleaseNow
-        } else {
-            DestPlan::ReleaseAtCommit { fallback: false }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use earlyreg_core::{InstrId, PhysReg};
     use earlyreg_isa::ArchReg;
-
-    fn sample_query() -> DestQuery {
-        DestQuery {
-            dst: ArchReg::int(5),
-            old_pd: PhysReg(7),
-            own_use: None,
-            pending_branches: 3,
-            newest_branch: Some(InstrId(9)),
-            reuse_on_committed_lu: false,
-            old_is_settled_arch: false,
-        }
-    }
-
-    #[test]
-    fn cross_lane_mutant_is_safe_until_interleaved() {
-        let template = CrossLaneReleaseMutant::new();
-        let a = template.box_clone();
-        let b = template.box_clone();
-        let q = sample_query();
-
-        // Lane A alone: conventional plans throughout.
-        for _ in 0..3 {
-            assert_eq!(
-                a.plan_dest(&q),
-                DestPlan::ReleaseAtCommit { fallback: false }
-            );
-        }
-        // Lane B starts after A finished: its first call sees A's residue but
-        // has no history of its own — still safe.
-        assert_eq!(
-            b.plan_dest(&q),
-            DestPlan::ReleaseAtCommit { fallback: false }
-        );
-        // Interleave: A resumes after B planned — A is now contaminated and
-        // goes rogue.
-        assert_eq!(a.plan_dest(&q), DestPlan::ReleaseNow);
-        // ...permanently.
-        assert_eq!(a.plan_dest(&q), DestPlan::ReleaseNow);
-    }
 
     #[test]
     fn mutant_always_releases_at_rename() {

@@ -2,8 +2,8 @@
 //! policies exist, what they are called, and how to construct them.
 //!
 //! Every layer above the core — the experiment engine, `Scenario` files,
-//! the `earlyreg-exp` CLI, the `earlyreg-serve` JSON API, the Criterion
-//! benches — enumerates policies from here instead of hard-coding a list,
+//! the `earlyreg-exp` CLI, the `earlyreg-serve` JSON API, the throughput
+//! bench — enumerates policies from here instead of hard-coding a list,
 //! so registering a new scheme in this one table makes it reachable
 //! everywhere.  Paper figures plot the canonical three via
 //! [`PAPER_POLICIES`].

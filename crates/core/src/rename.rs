@@ -291,37 +291,6 @@ impl RenameUnit {
         }
     }
 
-    /// Trim retained scratch capacity (undo journal, checkpoint deque,
-    /// squash/outcome buffers) back to small bounds.  Branch-storm workloads
-    /// grow these high-water marks; sweep drivers call this at point
-    /// boundaries so pooled units do not carry peak capacity across points.
-    pub fn trim_scratch(&mut self) {
-        const KEEP: usize = 64;
-        self.journal.shrink_to(KEEP);
-        self.checkpoints.shrink_to(KEEP);
-        self.squash_scratch.shrink_to(KEEP);
-        self.commit_outcome.released.shrink_to(KEEP);
-        self.recovery.freed.shrink_to(KEEP);
-        self.resolve_released.shrink_to(KEEP);
-        self.scheme_releases.shrink_to(KEEP);
-        self.confirm_release_now.shrink_to(KEEP);
-        self.confirm_to_rwc0.shrink_to(KEEP);
-    }
-
-    /// Total retained scratch capacity, in entries (regression probe for
-    /// [`RenameUnit::trim_scratch`]).
-    pub fn scratch_capacity(&self) -> usize {
-        self.journal.capacity()
-            + self.checkpoints.capacity()
-            + self.squash_scratch.capacity()
-            + self.commit_outcome.released.capacity()
-            + self.recovery.freed.capacity()
-            + self.resolve_released.capacity()
-            + self.scheme_releases.capacity()
-            + self.confirm_release_now.capacity()
-            + self.confirm_to_rwc0.capacity()
-    }
-
     /// The configuration this unit was built with.
     pub fn config(&self) -> &RenameConfig {
         &self.config

@@ -20,8 +20,7 @@
 //!    [`ResultSet`]; the [`RunSummary`] reports planned / unique / cache-hit
 //!    / simulated point counts.
 //!
-//! The `earlyreg-exp` binary is a thin CLI over [`registry`] and [`run`];
-//! the historical per-experiment binaries are shims over [`shim_main`].
+//! The `earlyreg-exp` binary is a thin CLI over [`registry`] and [`run`].
 
 use crate::cache::{fnv1a64, CacheKey, PointCache};
 use crate::config::{ExperimentOptions, Scenario};
@@ -482,9 +481,9 @@ impl PointResolver for CacheResolver<'_> {
             }
         }
 
-        // Batched lockstep scheduling: execute same-workload lanes
-        // consecutively (one shared decoded trace per workload), largest
-        // groups first to minimise the parallel tail.  Results are keyed by
+        // Batched scheduling: execute same-workload points consecutively
+        // (one shared decoded trace per workload), largest groups first to
+        // minimise the parallel tail.  Results are keyed by
         // digest, so execution order never affects the output.
         let order = crate::runner::batch_order(&misses, |p| p.point.workload);
         let misses: Vec<&PlannedPoint> = order.into_iter().map(|i| misses[i]).collect();
@@ -583,27 +582,6 @@ pub fn run_reports(
     Ok(run_with(&refs, ctx, resolver))
 }
 
-/// Entry point of the historical per-experiment binaries: parse the classic
-/// flags, run the one experiment through the engine (no disk cache) and
-/// print its text report — byte-for-byte what the pre-engine binary printed.
-pub fn shim_main(id: &str) {
-    let options = match ExperimentOptions::from_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
-    let ctx = PlanContext::new(options, Scenario::table2());
-    let registry = registry();
-    let experiment = registry
-        .iter()
-        .find(|e| e.id() == id)
-        .unwrap_or_else(|| panic!("experiment '{id}' is not registered"));
-    let outcome = run(&[experiment.as_ref()], &ctx, None);
-    emit(&outcome.reports[0], Format::Text, None).expect("stdout write");
-}
-
 /// Run experiments for a one-shot caller (the CLI, tests, tools): select by
 /// id, run on the given cache, emit every report in `format` under `out`.
 /// A thin consumer of [`run_reports`] — all rendering happens on the
@@ -678,6 +656,57 @@ mod tests {
         assert_eq!(results.len(), 20, "the shared points collapse");
         for point in &b {
             assert!(results.stats(point).is_some());
+        }
+    }
+
+    #[test]
+    fn sweep_ordering_is_deterministic_across_thread_counts() {
+        // A reversed plan with every point duplicated, resolved with
+        // different worker counts: the same digest-keyed statistics every
+        // time, one result per unique point — the regression guard for
+        // `batch_order` + `run_parallel` under the engine.
+        let set = Arc::new(WorkloadSet::new(Scale::Smoke));
+        let mut reference: Option<Vec<(u64, SimStats)>> = None;
+        for threads in [1, 2, 5] {
+            let ctx = PlanContext::with_workloads(
+                ExperimentOptions {
+                    scale: Scale::Smoke,
+                    threads,
+                    max_instructions: 10_000,
+                },
+                Scenario::table2(),
+                Arc::clone(&set),
+            );
+            let mut plan = Vec::new();
+            for name in ["compress", "mgrid"] {
+                let workload = ctx.workload(name).unwrap().clone();
+                for policy in [ReleasePolicy::Extended, ReleasePolicy::Conventional] {
+                    for size in [48, 40] {
+                        plan.push(ctx.point(&workload, policy, size, size));
+                    }
+                }
+            }
+            plan.reverse();
+            let unique = plan.len();
+            plan.extend(plan.clone());
+
+            let results = simulate(&ctx, &plan);
+            assert_eq!(results.len(), unique, "duplicates must be dropped");
+            let mut keyed: Vec<(u64, SimStats)> = plan
+                .iter()
+                .map(|p| {
+                    let result = results.get(p).expect("every planned point resolves");
+                    assert_eq!(result.point, p.point);
+                    (p.digest, result.stats.clone())
+                })
+                .collect();
+            keyed.sort_by_key(|(digest, _)| *digest);
+            keyed.dedup_by_key(|(digest, _)| *digest);
+            assert_eq!(keyed.len(), unique);
+            match &reference {
+                None => reference = Some(keyed),
+                Some(expected) => assert_eq!(&keyed, expected, "threads={threads}"),
+            }
         }
     }
 

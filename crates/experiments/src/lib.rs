@@ -23,8 +23,7 @@
 //! dedups them, simulates each distinct point exactly once on the parallel
 //! [`runner`] and backs the sweep with the content-addressed [`cache`], so
 //! overlapping experiments and repeated runs are near-free.  The
-//! `earlyreg-exp` binary exposes all of it on the command line; the
-//! historical per-experiment binaries remain as shims.
+//! `earlyreg-exp` binary exposes all of it on the command line.
 
 pub mod ablation;
 pub mod cache;
@@ -50,4 +49,4 @@ pub use engine::{
 };
 pub use metrics::{arithmetic_mean, harmonic_mean, interpolate_equal_ipc, speedup};
 pub use report::{Artifact, Format, NamedTable, Report};
-pub use runner::{run_point, run_sweep, RunPoint, RunResult};
+pub use runner::{RunPoint, RunResult};

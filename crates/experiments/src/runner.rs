@@ -5,19 +5,15 @@
 //! [`run_parallel`] distributes any list of jobs over a pool of scoped worker
 //! threads through a shared atomic work index and writes each result into the
 //! slot of its input item, so **output order never depends on thread
-//! interleaving**.  [`run_sweep`] builds on it: it sorts the points by their
-//! [`RunPoint`] ordering, drops duplicates and simulates each point once on
-//! the Table 2 machine.  (The experiment engine in [`crate::engine`] goes
-//! further: it plans the union of several experiments' points, dedups them
-//! across experiments and backs them with an on-disk cache.)
+//! interleaving**.  [`run_configured_point`] is the one way a point is
+//! simulated; the experiment engine in [`crate::engine`] plans, dedups and
+//! caches points and runs the misses through it.
 
-use crate::config::ExperimentOptions;
 use earlyreg_core::ReleasePolicy;
 use earlyreg_sim::{
-    decoded_trace_for, lanes_disabled, replay_disabled, LaneGroup, LaneStats, MachineConfig,
-    RunLimits, SimPool, SimStats, Simulator, TRACE_SLACK,
+    decoded_trace_for, replay_disabled, MachineConfig, RunLimits, SimStats, Simulator, TRACE_SLACK,
 };
-use earlyreg_workloads::{shared_suite, Workload, WorkloadClass};
+use earlyreg_workloads::{Workload, WorkloadClass};
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -61,7 +57,7 @@ impl RunResult {
 ///
 /// Uses the decode-once trace-replay front-end by default: the program's
 /// [`DecodedTrace`](earlyreg_isa::DecodedTrace) is captured once (memoized
-/// per shared `Arc<Program>`) and every policy/config lane replays it,
+/// per shared `Arc<Program>`) and every policy/config point replays it,
 /// skipping per-instruction decode and value re-computation while keeping
 /// `SimStats` bit-identical (pinned by `tests/stats_equivalence.rs`).  Set
 /// `EARLYREG_NO_REPLAY=1` to force the live front-end for debugging.
@@ -87,12 +83,6 @@ pub fn run_configured_point(
         point.workload, point.policy, point.phys_int, point.phys_fp
     );
     RunResult { point, stats }
-}
-
-/// Simulate a single point on the Table 2 machine.
-pub fn run_point(workload: &Workload, point: RunPoint, max_instructions: u64) -> RunResult {
-    let config = MachineConfig::icpp02(point.policy, point.phys_int, point.phys_fp);
-    run_configured_point(workload, point, config, max_instructions)
 }
 
 /// Helper: build the canonical cross product of points for the given
@@ -122,29 +112,14 @@ pub fn cross_points(
 /// Run `job` over every item on `threads` scoped worker threads and return
 /// the results **in input order**: each worker writes its result into the
 /// slot of the item it claimed, so the output is deterministic regardless of
-/// how the threads interleave.
+/// how the threads interleave.  With one thread (or one item) the jobs run
+/// inline on the calling thread — no spawn, and thread-local state such as
+/// the phase profiler keeps accumulating where the caller can read it.
 pub fn run_parallel<T, R, F>(threads: usize, items: &[T], job: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
-{
-    run_parallel_with(threads, items, || (), |item, ()| job(item))
-}
-
-/// As [`run_parallel`], with a per-worker scratch value built by `init`:
-/// each worker thread constructs its own and threads it through every job it
-/// claims.  The sweep path uses this to carry a [`SimPool`] across the
-/// workload groups a worker processes, so simulator carcasses are recycled
-/// instead of re-allocated.  With one thread (or one item) the jobs run
-/// inline on the calling thread — no spawn, and thread-local state such as
-/// the phase profiler keeps accumulating where the caller can read it.
-pub fn run_parallel_with<T, R, S, F, I>(threads: usize, items: &[T], init: I, job: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut S) -> R + Sync,
-    I: Fn() -> S + Sync,
 {
     // Nothing to do: don't pay for a thread spawn.  The serving path hits
     // this on every fully-warm request (zero cache misses to simulate).
@@ -153,23 +128,19 @@ where
     }
     let threads = threads.max(1).min(items.len());
     if threads == 1 {
-        let mut scratch = init();
-        return items.iter().map(|item| job(item, &mut scratch)).collect();
+        return items.iter().map(job).collect();
     }
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next_item = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = init();
-                loop {
-                    let index = next_item.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    let result = job(item, &mut scratch);
-                    *slots[index].lock().expect("worker panicked") = Some(result);
-                }
+            scope.spawn(|| loop {
+                let index = next_item.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(index) else {
+                    break;
+                };
+                let result = job(item);
+                *slots[index].lock().expect("worker panicked") = Some(result);
             });
         }
     });
@@ -188,7 +159,7 @@ where
 /// order is deterministic), stable within each group.
 ///
 /// Grouping same-key items consecutively keeps each workload's shared
-/// decoded trace and kill plan hot while its policy/config lanes replay it;
+/// decoded trace and kill plan hot while its policy/config points replay it;
 /// putting the largest groups first is longest-processing-time-first
 /// scheduling, which minimises the idle tail when the groups are distributed
 /// over worker threads.
@@ -206,142 +177,6 @@ pub fn batch_order<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<u
         .into_iter()
         .flat_map(|(_, members)| members)
         .collect()
-}
-
-/// Widest lane group the sweep scheduler builds: enough for every policy ×
-/// a few register-file sizes of one workload, small enough that the group's
-/// combined private state stays cache-friendly.
-pub const MAX_LANE_WIDTH: usize = 16;
-
-/// Run every point in parallel and return the results sorted by [`RunPoint`]
-/// (duplicates removed), independent of worker-thread interleaving.
-///
-/// Points are *executed* in batched order — same-workload lanes
-/// consecutively, largest workload groups first (see [`batch_order`]) — but
-/// the *returned* results are always point-sorted.
-///
-/// Same-workload points are stepped as a [`LaneGroup`] over one shared
-/// program/trace/front-end table, with simulator allocations pooled across
-/// groups (see [`crate::runner::run_sweep_with_lane_stats`] for the
-/// occupancy statistics).  Set `EARLYREG_NO_LANES=1` to fall back to
-/// sequential per-point stepping, or `EARLYREG_NO_REPLAY=1` to also force
-/// the live front-end; results are bit-identical either way (pinned by
-/// `tests/stats_equivalence.rs`).
-pub fn run_sweep(options: &ExperimentOptions, points: Vec<RunPoint>) -> Vec<RunResult> {
-    run_sweep_with_lane_stats(options, points).0
-}
-
-/// As [`run_sweep`], also returning the aggregated lane-group occupancy
-/// statistics (zeroed when the lane engine is disabled or unusable).
-pub fn run_sweep_with_lane_stats(
-    options: &ExperimentOptions,
-    mut points: Vec<RunPoint>,
-) -> (Vec<RunResult>, LaneStats) {
-    points.sort_unstable();
-    points.dedup();
-    let batched: Vec<RunPoint> = batch_order(&points, |p| p.workload)
-        .into_iter()
-        .map(|i| points[i])
-        .collect();
-    let workloads = shared_suite(options.scale);
-    let threads = options.effective_threads();
-
-    if lanes_disabled() {
-        let mut results = run_parallel(threads, &batched, |&point| {
-            let workload = workload_in(&workloads, point.workload);
-            run_point(workload, point, options.max_instructions)
-        });
-        results.sort_unstable_by_key(|r| r.point);
-        return (results, LaneStats::default());
-    }
-
-    // One work item per lane group: consecutive same-workload points,
-    // chunked at the lane-width cap.  Each worker thread carries a SimPool
-    // across the groups it claims.
-    let groups: Vec<&[RunPoint]> = batched
-        .chunk_by(|a, b| a.workload == b.workload)
-        .flat_map(|g| g.chunks(MAX_LANE_WIDTH))
-        .collect();
-    let group_results = run_parallel_with(threads, &groups, SimPool::new, |group, pool| {
-        run_lane_group(&workloads, group, options.max_instructions, pool)
-    });
-
-    let mut lane_stats = LaneStats::default();
-    let mut results = Vec::with_capacity(points.len());
-    for (group_result, group_stats) in group_results {
-        results.extend(group_result);
-        lane_stats.merge(&group_stats);
-    }
-    results.sort_unstable_by_key(|r| r.point);
-    (results, lane_stats)
-}
-
-fn workload_in<'a>(workloads: &'a [Workload], name: &str) -> &'a Workload {
-    workloads
-        .iter()
-        .find(|w| w.name() == name)
-        .unwrap_or_else(|| panic!("unknown workload '{name}'"))
-}
-
-/// Step one group of same-workload points in lockstep over their shared
-/// program and decoded trace, drawing simulator allocations from `pool`.
-fn run_lane_group(
-    workloads: &[Workload],
-    group: &[RunPoint],
-    max_instructions: u64,
-    pool: &mut SimPool,
-) -> (Vec<RunResult>, LaneStats) {
-    let workload = workload_in(workloads, group[0].workload);
-    // With `EARLYREG_NO_REPLAY` set the lanes run the live front-end —
-    // permanently detached from a trace but still grouped and pooled.
-    let trace = if replay_disabled() {
-        None
-    } else {
-        Some(decoded_trace_for(
-            &workload.program,
-            max_instructions.saturating_add(TRACE_SLACK),
-        ))
-    };
-    let mut lanes = LaneGroup::with_default_chunk();
-    for &point in group {
-        let config = MachineConfig::icpp02(point.policy, point.phys_int, point.phys_fp);
-        let sim = match &trace {
-            Some(trace) => {
-                Simulator::with_replay_pooled(config, workload.program.clone(), trace.clone(), pool)
-            }
-            None => Simulator::new_pooled(config, workload.program.clone(), pool),
-        };
-        lanes.push(sim, RunLimits::instructions(max_instructions));
-    }
-    let (lane_results, lane_stats) = lanes.into_results(pool);
-    let results = group
-        .iter()
-        .zip(lane_results)
-        .map(|(&point, stats)| {
-            assert_eq!(
-                stats.oracle_violations, 0,
-                "{} under {:?} with {}int+{}fp registers read a discarded value",
-                point.workload, point.policy, point.phys_int, point.phys_fp
-            );
-            RunResult { point, stats }
-        })
-        .collect();
-    (results, lane_stats)
-}
-
-/// Select, from a result set, the IPC of a specific point.
-pub fn ipc_of(
-    results: &[RunResult],
-    workload: &str,
-    policy: ReleasePolicy,
-    phys_int: usize,
-) -> Option<f64> {
-    results
-        .iter()
-        .find(|r| {
-            r.point.workload == workload && r.point.policy == policy && r.point.phys_int == phys_int
-        })
-        .map(|r| r.ipc())
 }
 
 #[cfg(test)]
@@ -371,75 +206,5 @@ mod tests {
     fn run_parallel_handles_empty_input() {
         let results = run_parallel(4, &[] as &[usize], |&i| i);
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn sweep_runs_points_in_parallel_and_sorts_results() {
-        let options = ExperimentOptions {
-            scale: Scale::Smoke,
-            threads: 2,
-            max_instructions: 20_000,
-        };
-        let workloads = earlyreg_workloads::suite(Scale::Smoke);
-        let subset: Vec<Workload> = workloads
-            .into_iter()
-            .filter(|w| w.name() == "perl" || w.name() == "swim")
-            .collect();
-        let points = cross_points(
-            &subset,
-            &[ReleasePolicy::Conventional, ReleasePolicy::Extended],
-            &[48],
-        );
-        let results = run_sweep(&options, points);
-        assert_eq!(results.len(), 4);
-        assert!(results.iter().all(|r| r.stats.committed > 1_000));
-        assert!(results.windows(2).all(|w| w[0].point < w[1].point));
-        assert!(ipc_of(&results, "perl", ReleasePolicy::Extended, 48).is_some());
-        assert!(ipc_of(&results, "perl", ReleasePolicy::Basic, 48).is_none());
-    }
-
-    #[test]
-    fn sweep_ordering_is_deterministic_across_thread_counts() {
-        // Shuffle the points (reversed + interleaved), run with different
-        // worker counts, and demand the exact same point-sorted output every
-        // time — the regression guard for deterministic sweep ordering.
-        let workloads = earlyreg_workloads::suite(Scale::Smoke);
-        let subset: Vec<Workload> = workloads
-            .into_iter()
-            .filter(|w| w.name() == "compress" || w.name() == "mgrid")
-            .collect();
-        let mut points = cross_points(
-            &subset,
-            &[ReleasePolicy::Extended, ReleasePolicy::Conventional],
-            &[48, 40],
-        );
-        points.reverse();
-        // Duplicates must collapse instead of being simulated twice.
-        let mut with_dupes = points.clone();
-        with_dupes.extend(points.iter().copied());
-
-        let mut reference: Option<Vec<(RunPoint, u64)>> = None;
-        for threads in [1, 2, 5] {
-            let options = ExperimentOptions {
-                scale: Scale::Smoke,
-                threads,
-                max_instructions: 10_000,
-            };
-            let results = run_sweep(&options, with_dupes.clone());
-            assert_eq!(results.len(), 8, "duplicates must be dropped");
-            let mut sorted = results.iter().map(|r| r.point).collect::<Vec<_>>();
-            sorted.sort_unstable();
-            assert_eq!(
-                results.iter().map(|r| r.point).collect::<Vec<_>>(),
-                sorted,
-                "results must come back point-sorted"
-            );
-            let key: Vec<(RunPoint, u64)> =
-                results.iter().map(|r| (r.point, r.stats.cycles)).collect();
-            match &reference {
-                None => reference = Some(key),
-                Some(expected) => assert_eq!(&key, expected, "threads={threads}"),
-            }
-        }
     }
 }

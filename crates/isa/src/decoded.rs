@@ -6,7 +6,7 @@
 //! squashed, precise exceptions re-execute from the faulting instruction —
 //! so everything the architectural emulator computes (branch directions,
 //! effective addresses, result values, register kill positions) can be
-//! captured **once per program** and replayed by every lane of a sweep.
+//! captured **once per program** and replayed by every point of a sweep.
 //!
 //! [`DecodedTrace`] is that capture: one emulator pass recorded as
 //! struct-of-arrays columns indexed by *committed position* (emulator step

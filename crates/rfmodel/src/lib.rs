@@ -20,8 +20,8 @@
 //!   machine plus ≈ 128 B for the two LUs Tables.
 //!
 //! Only the *relative* scaling with registers and ports matters for the
-//! paper's argument; the calibrated model reproduces those relations (the
-//! `fig09_rfmodel` and `sec44_energy` binaries print the full comparison).
+//! paper's argument; the calibrated model reproduces those relations
+//! (`earlyreg-exp run fig09 sec44` prints the full comparison).
 
 pub mod delay;
 pub mod energy;

@@ -328,7 +328,7 @@ fn expect_100_continue_is_answered() {
     server.stop();
 }
 
-/// Acceptance criterion: a warm `POST /points` body is bit-identical to the
+/// Contract: a warm `POST /points` body is bit-identical to the
 /// cold one, the point is simulated exactly once, and the counters move to
 /// the headers (not the body) so identity holds.
 #[test]
@@ -382,7 +382,7 @@ fn warm_points_response_is_bit_identical_to_cold() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
-/// Acceptance criterion: M concurrent identical requests perform exactly
+/// Contract: M concurrent identical requests perform exactly
 /// one simulation — proven by the cache-dir entry count and the service's
 /// simulation counter.
 #[test]

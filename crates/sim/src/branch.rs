@@ -70,20 +70,6 @@ impl GsharePredictor {
         }
     }
 
-    /// Reset to the freshly-constructed state (all counters weakly
-    /// not-taken, empty history, zero stats), keeping the table allocation.
-    /// Simulator pooling uses this to recycle the 2^18-entry table.
-    pub fn reset(&mut self) {
-        self.table.fill(1);
-        self.history = 0;
-        self.stats = PredictorStats::default();
-    }
-
-    /// Number of counter-table entries.
-    pub fn table_entries(&self) -> usize {
-        self.table.len()
-    }
-
     /// Current global history (exposed for checkpoint/repair bookkeeping).
     pub fn history(&self) -> u64 {
         self.history

@@ -74,14 +74,6 @@ impl Cache {
         }
     }
 
-    /// Return to the freshly-built cold state (all lines invalid, zero
-    /// stats), keeping the line allocation.  Simulator pooling uses this.
-    pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
-        self.access_clock = 0;
-        self.stats = CacheStats::default();
-    }
-
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -156,29 +148,6 @@ impl MemoryHierarchy {
             memory_latency,
             memory_accesses: 0,
         }
-    }
-
-    /// Return every level to the cold state, keeping the allocations.
-    pub fn reset(&mut self) {
-        self.l1i.reset();
-        self.l1d.reset();
-        self.l2.reset();
-        self.memory_accesses = 0;
-    }
-
-    /// True when this hierarchy was built with exactly these parameters
-    /// (pool-reuse check).
-    pub fn built_with(
-        &self,
-        icache: &CacheConfig,
-        dcache: &CacheConfig,
-        l2: &CacheConfig,
-        memory_latency: u32,
-    ) -> bool {
-        self.l1i.config() == icache
-            && self.l1d.config() == dcache
-            && self.l2.config() == l2
-            && self.memory_latency == memory_latency
     }
 
     /// Latency of an instruction fetch touching `byte_addr`.

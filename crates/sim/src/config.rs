@@ -168,8 +168,8 @@ impl MachineConfig {
         }
     }
 
-    /// A scaled-down machine used by fast unit tests and Criterion
-    /// benchmarks: same structure, smaller caches and windows.
+    /// A scaled-down machine used by fast unit tests: same structure,
+    /// smaller caches and windows.
     pub fn small(policy: ReleasePolicy, phys_int: usize, phys_fp: usize) -> Self {
         let mut cfg = Self::icpp02(policy, phys_int, phys_fp);
         cfg.ros_size = 32;

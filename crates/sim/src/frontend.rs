@@ -7,10 +7,9 @@
 //! hierarchy and the program at once; this module holds the data types plus
 //! the [`FrontEndTable`]: everything the fetch stage derives from the
 //! *static* program — instruction kind, I-cache line index, control-transfer
-//! target — computed once per (program, line size) and shared by every lane
-//! of a sweep.  Per-lane *dynamic* front-end state (predictor counters,
-//! replay cursor, I-cache tags) stays per simulator, which is what keeps
-//! lane-stepped statistics bit-identical to sequential runs.
+//! target — computed once per (program, line size) and shared by every
+//! point of a sweep.  *Dynamic* front-end state (predictor counters, replay
+//! cursor, I-cache tags) stays per simulator.
 
 use crate::branch::Prediction;
 use earlyreg_isa::{Instruction, Opcode, Program};
@@ -90,7 +89,7 @@ impl FrontEndTable {
 
 /// The shared front-end table for a program, memoized by `Arc` identity and
 /// line size like [`decoded_trace_for`](crate::decoded_trace_for): every
-/// lane of a sweep running the same workload gets the same table.  Entries
+/// point of a sweep running the same workload gets the same table.  Entries
 /// are dropped when their program is; a racing duplicate build is benign.
 pub fn front_end_table_for(program: &Arc<Program>, line_bytes: u64) -> Arc<FrontEndTable> {
     type CacheEntry = (Weak<Program>, u64, Arc<FrontEndTable>);

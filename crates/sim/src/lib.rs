@@ -17,9 +17,6 @@
 //!   and the shared per-program fetch precompute table;
 //! * [`pipeline`] — the 8-wide fetch/rename/issue/commit cycle loop, driving
 //!   [`earlyreg_core::RenameUnit`] for renaming and register release;
-//! * [`lanes`] — the lane engine: step N same-workload sweep points in
-//!   lockstep chunks over one shared program/trace/front-end table, with
-//!   pooled per-point construction;
 //! * [`replay`] — decode-once trace replay: memoized [`DecodedTrace`]
 //!   capture and the fetch-side cursor that lets sweeps skip re-decode and
 //!   re-emulation while keeping statistics bit-identical;
@@ -34,7 +31,6 @@ pub mod cache;
 pub mod config;
 pub mod frontend;
 pub mod fu;
-pub mod lanes;
 pub mod lsq;
 pub mod pipeline;
 pub mod profile;
@@ -48,9 +44,8 @@ pub use cache::{Cache, CacheStats, HierarchyStats, MemoryHierarchy};
 pub use config::{CacheConfig, ExceptionConfig, MachineConfig, PredictorConfig};
 pub use frontend::{front_end_table_for, FetchInfo, FrontEndTable};
 pub use fu::{FuPool, FuStats};
-pub use lanes::{lanes_disabled, LaneGroup, LaneStats};
 pub use lsq::{ForwardResult, LoadStoreQueue};
-pub use pipeline::{RunLimits, SimPool, Simulator};
+pub use pipeline::{RunLimits, Simulator};
 pub use replay::{decoded_trace_for, replay_disabled, ReplayCursor, TRACE_SLACK};
 pub use rob::{InstrState, ReorderBuffer, RobEntry};
 pub use stats::{RenameStallCycles, SimStats};

@@ -62,11 +62,6 @@ impl LoadStoreQueue {
         self.entries.len()
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// True when no entry is present.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

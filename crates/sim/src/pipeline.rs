@@ -141,159 +141,13 @@ impl RunLimits {
 
     /// Limit the number of committed instructions, deriving the guard cycle
     /// limit from it.  This is the single place that policy lives; the
-    /// experiment runner, the throughput benchmark and the Criterion helpers
-    /// all use it.
+    /// experiment runner and the throughput benchmark both use it.
     pub fn instructions(n: u64) -> Self {
         RunLimits {
             max_instructions: n,
             max_cycles: n
                 .saturating_mul(Self::MAX_CYCLES_PER_INSTRUCTION)
                 .max(Self::MIN_MAX_CYCLES),
-        }
-    }
-}
-
-/// Reusable allocation carcasses salvaged from finished simulators.
-///
-/// Building a `Simulator` allocates ~1 MB of cold memory (the data-memory
-/// image, the 2^18-entry predictor table, per-register wakeup queues, the
-/// completion ring, ROB/LSQ storage); a fig10 sweep pays that ~30 times for
-/// identically-shaped points.  A pool lets [`SimPool::reclaim`] keep those
-/// buffers when a point finishes and the pooled constructors
-/// ([`Simulator::with_replay_pooled`], [`Simulator::with_scheme_seed_pooled`])
-/// re-initialise them instead of re-allocating.  Every reuse path restores
-/// the exact freshly-constructed state (memory zeroed + data image copied,
-/// counters weakly not-taken, queues empty), so pooled and unpooled
-/// simulators are bit-identical — `tests/stats_equivalence.rs` pins this.
-/// Per-class (int/fp) per-physical-register lists of `(id, slot)` waiters.
-type WaiterTable = [Vec<Vec<(InstrId, u32)>>; 2];
-
-#[derive(Debug, Default)]
-pub struct SimPool {
-    memories: Vec<Vec<u64>>,
-    predictors: Vec<GsharePredictor>,
-    hierarchies: Vec<MemoryHierarchy>,
-    waiters: Vec<WaiterTable>,
-    completions: Vec<Vec<Vec<(InstrId, u32)>>>,
-    robs: Vec<ReorderBuffer>,
-    lsqs: Vec<LoadStoreQueue>,
-}
-
-impl SimPool {
-    /// Cap on salvaged carcasses of each kind; beyond it they are dropped
-    /// (a lane group never runs wider than this).
-    const MAX_POOLED: usize = 32;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tear a finished simulator down into the pool.
-    pub fn reclaim(&mut self, mut sim: Simulator) {
-        if self.memories.len() >= Self::MAX_POOLED {
-            return;
-        }
-        sim.rob.clear();
-        sim.lsq.clear();
-        self.memories.push(sim.memory);
-        self.predictors.push(sim.predictor);
-        self.hierarchies.push(sim.mem_hierarchy);
-        self.waiters.push(sim.waiters);
-        self.completions.push(sim.completions);
-        self.robs.push(sim.rob);
-        self.lsqs.push(sim.lsq);
-    }
-
-    fn take_memory(&mut self, words: usize, data: &[u64]) -> Vec<u64> {
-        let mut memory = match self.memories.pop() {
-            Some(mut m) => {
-                m.clear();
-                m.resize(words, 0);
-                m
-            }
-            None => vec![0u64; words],
-        };
-        memory[..data.len()].copy_from_slice(data);
-        memory
-    }
-
-    fn take_predictor(&mut self, history_bits: u32) -> GsharePredictor {
-        let entries = 1usize << history_bits;
-        match self
-            .predictors
-            .iter()
-            .position(|p| p.table_entries() == entries)
-        {
-            Some(i) => {
-                let mut p = self.predictors.swap_remove(i);
-                p.reset();
-                p
-            }
-            None => GsharePredictor::new(history_bits),
-        }
-    }
-
-    fn take_hierarchy(
-        &mut self,
-        icache: crate::config::CacheConfig,
-        dcache: crate::config::CacheConfig,
-        l2: crate::config::CacheConfig,
-        memory_latency: u32,
-    ) -> MemoryHierarchy {
-        let pos = self
-            .hierarchies
-            .iter()
-            .position(|h| h.built_with(&icache, &dcache, &l2, memory_latency));
-        match pos {
-            Some(i) => {
-                let mut h = self.hierarchies.swap_remove(i);
-                h.reset();
-                h
-            }
-            None => MemoryHierarchy::new(icache, dcache, l2, memory_latency),
-        }
-    }
-
-    fn take_waiters(&mut self, phys_int: usize, phys_fp: usize) -> WaiterTable {
-        match self.waiters.pop() {
-            Some(mut w) => {
-                for (queues, len) in w.iter_mut().zip([phys_int, phys_fp]) {
-                    queues.iter_mut().for_each(Vec::clear);
-                    queues.resize_with(len, Vec::new);
-                }
-                w
-            }
-            None => [
-                (0..phys_int).map(|_| Vec::new()).collect(),
-                (0..phys_fp).map(|_| Vec::new()).collect(),
-            ],
-        }
-    }
-
-    fn take_completions(&mut self, buckets: usize) -> Vec<Vec<(InstrId, u32)>> {
-        match self.completions.pop() {
-            Some(mut c) => {
-                c.truncate(buckets);
-                c.iter_mut().for_each(Vec::clear);
-                c.resize_with(buckets, Vec::new);
-                c
-            }
-            None => (0..buckets).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    fn take_rob(&mut self, capacity: usize) -> ReorderBuffer {
-        match self.robs.iter().position(|r| r.capacity() == capacity) {
-            Some(i) => self.robs.swap_remove(i), // cleared at reclaim
-            None => ReorderBuffer::new(capacity),
-        }
-    }
-
-    fn take_lsq(&mut self, capacity: usize) -> LoadStoreQueue {
-        match self.lsqs.iter().position(|q| q.capacity() == capacity) {
-            Some(i) => self.lsqs.swap_remove(i), // cleared at reclaim
-            None => LoadStoreQueue::new(capacity),
         }
     }
 }
@@ -332,7 +186,7 @@ pub struct Simulator {
 
     fetch_buffer: FetchBuffer,
     /// Shared static per-PC fetch facts (kind, I-cache line, target); one
-    /// table per (program, line size) serves every lane of a sweep.
+    /// table per (program, line size) serves every point of a sweep.
     fe_table: Arc<FrontEndTable>,
     fetch_pc: usize,
     fetch_halted: bool,
@@ -342,7 +196,7 @@ pub struct Simulator {
     /// Dispatched instructions the issue stage must examine.
     attention: Vec<(InstrId, u32)>,
     /// Per class and physical register: dispatched consumers waiting for it.
-    waiters: WaiterTable,
+    waiters: [Vec<Vec<(InstrId, u32)>>; 2],
     /// Cycle-indexed (power-of-two) ring of scheduled completion events.
     completions: Vec<Vec<(InstrId, u32)>>,
     /// Scratch for the completion events drained in the current cycle.
@@ -368,22 +222,11 @@ impl Simulator {
         Self::with_scheme_seed(config, program, SchemeSeed::default())
     }
 
-    /// As [`Simulator::new`], drawing large allocations from `pool` (see
-    /// [`SimPool`]).  Bit-identical to the unpooled constructor; the sweep
-    /// path uses this for live (no-replay) lanes.
-    pub fn new_pooled(
-        config: MachineConfig,
-        program: impl Into<Arc<Program>>,
-        pool: &mut SimPool,
-    ) -> Self {
-        Self::with_scheme_seed_pooled(config, program.into(), SchemeSeed::default(), pool)
-    }
-
     /// Build a simulator that feeds its pipeline from a pre-captured
     /// [`DecodedTrace`] of `program` instead of re-decoding and re-executing
     /// every instruction (see [`crate::replay`]).  Simulated timing and
     /// statistics are bit-identical to [`Simulator::new`]; sweeps use this
-    /// to share one capture pass across every policy×config lane.  When the
+    /// to share one capture pass across every policy×config point.  When the
     /// scheme needs a kill plan and the trace covers the whole execution,
     /// the plan is derived from the trace — no second emulator pass.
     pub fn with_replay(
@@ -401,24 +244,6 @@ impl Simulator {
         sim
     }
 
-    /// As [`Simulator::with_replay`], drawing large allocations from `pool`
-    /// (see [`SimPool`]).  Bit-identical to the unpooled constructor.
-    pub fn with_replay_pooled(
-        config: MachineConfig,
-        program: impl Into<Arc<Program>>,
-        trace: Arc<DecodedTrace>,
-        pool: &mut SimPool,
-    ) -> Self {
-        let program: Arc<Program> = program.into();
-        let mut seed = SchemeSeed::default();
-        if config.rename.policy.descriptor().needs_kill_plan && trace.halted() {
-            seed.kill_plan = memoized_kill_plan(&program, || KillPlan::from_trace(&trace)).ok();
-        }
-        let mut sim = Self::with_scheme_seed_pooled(config, program, seed, pool);
-        sim.replay = Some(ReplayCursor::new(trace));
-        sim
-    }
-
     /// As [`Simulator::new`], with explicit scheme construction data.  The
     /// conformance harness uses this to inject deliberately-broken mutant
     /// schemes through [`SchemeSeed::scheme_override`]; a missing kill plan
@@ -426,22 +251,7 @@ impl Simulator {
     pub fn with_scheme_seed(
         config: MachineConfig,
         program: impl Into<Arc<Program>>,
-        seed: SchemeSeed,
-    ) -> Self {
-        Self::with_scheme_seed_pooled(config, program.into(), seed, &mut SimPool::default())
-    }
-
-    /// As [`Simulator::with_scheme_seed`], drawing large allocations
-    /// (memory image, predictor table, scheduling queues, ROB/LSQ) from
-    /// `pool` instead of the allocator.  Reused buffers are re-initialised
-    /// to exactly the freshly-constructed state, so simulation results are
-    /// bit-identical to the unpooled constructors; sweeps use this to erase
-    /// per-point construction cost.
-    pub fn with_scheme_seed_pooled(
-        config: MachineConfig,
-        program: impl Into<Arc<Program>>,
         mut seed: SchemeSeed,
-        pool: &mut SimPool,
     ) -> Self {
         let program: Arc<Program> = program.into();
         config
@@ -451,7 +261,8 @@ impl Simulator {
             .validate()
             .unwrap_or_else(|e| panic!("invalid program: {e}"));
 
-        let memory = pool.take_memory(program.memory_words, &program.data);
+        let mut memory = vec![0u64; program.memory_words];
+        memory[..program.data.len()].copy_from_slice(&program.data);
 
         let phys_int = config.rename.phys_int;
         let phys_fp = config.rename.phys_fp;
@@ -477,10 +288,10 @@ impl Simulator {
 
         Simulator {
             rename,
-            rob: pool.take_rob(config.ros_size),
-            lsq: pool.take_lsq(config.lsq_size),
-            predictor: pool.take_predictor(config.predictor.gshare_bits),
-            mem_hierarchy: pool.take_hierarchy(
+            rob: ReorderBuffer::new(config.ros_size),
+            lsq: LoadStoreQueue::new(config.lsq_size),
+            predictor: GsharePredictor::new(config.predictor.gshare_bits),
+            mem_hierarchy: MemoryHierarchy::new(
                 config.icache,
                 config.dcache,
                 config.l2,
@@ -498,10 +309,13 @@ impl Simulator {
             fetch_halted: false,
             fetch_stalled_until: 0,
             attention: Vec::new(),
-            waiters: pool.take_waiters(phys_int, phys_fp),
+            waiters: [
+                (0..phys_int).map(|_| Vec::new()).collect(),
+                (0..phys_fp).map(|_| Vec::new()).collect(),
+            ],
             // Sized past the longest fixed latency (an L1 miss that falls
             // through L2 to memory); grown on demand for exotic configs.
-            completions: pool.take_completions(128),
+            completions: (0..128).map(|_| Vec::new()).collect(),
             completion_scratch: Vec::new(),
             replay: None,
             cycle: 0,
@@ -539,25 +353,9 @@ impl Simulator {
         &self.rename
     }
 
-    /// Release high-water scratch capacity accumulated by branch-storm
-    /// phases (checkpoint journal, squash buffers).  Lane groups call this
-    /// at the point boundary so pooled carcasses don't carry peak-workload
-    /// footprints forward.
-    pub fn trim_scratch(&mut self) {
-        self.rename.trim_scratch();
-    }
-
     /// True when this simulator feeds its pipeline from a replay trace.
     pub fn replaying(&self) -> bool {
         self.replay.is_some()
-    }
-
-    /// True while the replay cursor is synchronised with fetch (false for
-    /// live-front-end simulators, and while fetch runs a wrong path).  Lane
-    /// groups use this as the divergence signal: a detached lane re-attaches
-    /// once its cursor re-synchronises at recovery.
-    pub fn replay_on_trace(&self) -> bool {
-        self.replay.as_ref().is_some_and(|c| c.on_trace)
     }
 
     /// Committed data memory.
@@ -675,30 +473,6 @@ impl Simulator {
         }
         self.finalize_stats();
         self.stats.clone()
-    }
-
-    /// Run at most `cycle_budget` cycles toward `limits`.  Returns true when
-    /// the run is finished (halted or a limit reached), finalising the
-    /// statistics exactly as [`Simulator::run`] would; chaining slices until
-    /// that point is bit-identical to one `run` call.  Lane groups use this
-    /// to interleave many simulators in lockstep chunks.
-    pub fn run_slice(&mut self, limits: RunLimits, cycle_budget: u64) -> bool {
-        let mut budget = cycle_budget;
-        while budget > 0
-            && !self.halted
-            && self.stats.committed < limits.max_instructions
-            && self.cycle < limits.max_cycles
-        {
-            self.step();
-            budget -= 1;
-        }
-        let done = self.halted
-            || self.stats.committed >= limits.max_instructions
-            || self.cycle >= limits.max_cycles;
-        if done {
-            self.finalize_stats();
-        }
-        done
     }
 
     /// Simulate a single cycle.
@@ -1376,7 +1150,7 @@ impl Simulator {
             }
 
             // Static fetch facts (kind, line index, target) come from the
-            // shared per-program table, so sweep lanes don't each redo the
+            // shared per-program table, so sweep points don't each redo the
             // address/decode math.
             let info = self.fe_table.at(pc);
 

@@ -56,7 +56,7 @@ pub fn replay_disabled() -> bool {
 
 /// The decoded trace for a shared program, memoized by `Arc` identity like
 /// the oracle kill plan: experiment sweeps hand the same `Arc<Program>` to
-/// every lane, so the capture pass runs once per (program, budget) instead
+/// every point, so the capture pass runs once per (program, budget) instead
 /// of once per point.  A cached trace is reused when it already covers
 /// `min_steps` (or the whole execution); a longer request replaces it.
 /// Entries are dropped when their program is; a racing duplicate capture is

@@ -127,11 +127,6 @@ impl ReorderBuffer {
         self.entries.len()
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -36,6 +36,5 @@ pub mod suite;
 pub use generic::{generic_workload, GenericWorkloadConfig};
 pub use registry::{WorkloadDescriptor, WorkloadKind};
 pub use suite::{
-    shared_suite, suite, workload_by_name, workload_with_target_instructions, Scale, Workload,
-    WorkloadClass,
+    suite, workload_by_name, workload_with_target_instructions, Scale, Workload, WorkloadClass,
 };

@@ -4,7 +4,7 @@
 //! every workload is a [`WorkloadDescriptor`] (id + aliases + class + paper
 //! metadata + generator), looked up by string id everywhere — scenario files
 //! (`workloads = matmul, swim`), the experiment planner, the serving API and
-//! the benches.  Adding a workload is **registration only**: add a generator
+//! the throughput bench.  Adding a workload is **registration only**: add a generator
 //! (a synthetic builder or an embedded `.asm` source) and a `DESCRIPTORS`
 //! entry, and every layer — planner, cache, CLI, HTTP listing, conformance
 //! corpus, throughput bench — picks it up with zero engine edits.

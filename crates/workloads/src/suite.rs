@@ -37,7 +37,7 @@ impl WorkloadClass {
 pub enum Scale {
     /// A few thousand dynamic instructions — CI / unit tests.
     Smoke,
-    /// Tens of thousands of dynamic instructions — Criterion benchmarks.
+    /// Tens of thousands of dynamic instructions — quick benchmark runs.
     Bench,
     /// A few hundred thousand dynamic instructions — the experiment binaries
     /// that regenerate the paper's figures.
@@ -88,25 +88,6 @@ pub fn suite(scale: Scale) -> Vec<Workload> {
         .iter()
         .map(|d| d.instantiate(scale))
         .collect()
-}
-
-/// The full suite at `scale`, built once per process and shared.
-///
-/// Sweep infrastructure should prefer this over [`suite`]: beyond skipping
-/// program generation, the *shared `Arc<Program>` identities* are what the
-/// per-program memoization caches key on (decoded traces, kill plans,
-/// front-end tables), so repeated sweeps at one scale reuse those instead of
-/// re-deriving them for fresh program instances.
-pub fn shared_suite(scale: Scale) -> Arc<Vec<Workload>> {
-    use std::sync::Mutex;
-    static CACHE: Mutex<Vec<(Scale, Arc<Vec<Workload>>)>> = Mutex::new(Vec::new());
-    let mut cache = CACHE.lock().expect("suite cache poisoned");
-    if let Some((_, cached)) = cache.iter().find(|(s, _)| *s == scale) {
-        return Arc::clone(cached);
-    }
-    let fresh = Arc::new(suite(scale));
-    cache.push((scale, Arc::clone(&fresh)));
-    fresh
 }
 
 /// Build a single named workload (registered id or alias) at the requested

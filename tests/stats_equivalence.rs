@@ -21,8 +21,7 @@
 use earlyreg::conformance::{compile, plan_blocks, test_support, HazardConfig};
 use earlyreg::core::{registry, ReleasePolicy};
 use earlyreg::sim::{
-    decoded_trace_for, LaneGroup, MachineConfig, RunLimits, SimPool, SimStats, Simulator,
-    TRACE_SLACK,
+    decoded_trace_for, MachineConfig, RunLimits, SimStats, Simulator, TRACE_SLACK,
 };
 use earlyreg::workloads::{workload_by_name, Scale};
 use proptest::prelude::*;
@@ -363,192 +362,5 @@ proptest! {
         let program = Arc::new(compile(&hazard, &blocks));
         let config = MachineConfig::small(policy, 40, 40);
         assert_replay_equivalent(config, &program, 10_000, &format!("hazard seed {seed}"));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane engine: lane-stepped stats bit-identical to sequential runs
-// ---------------------------------------------------------------------------
-
-/// Run `configs` over one program sequentially (each its own replaying
-/// simulator), then through lane groups of width `width` drawing from one
-/// shared pool, and assert the per-point `SimStats` are bit-identical.
-/// `chunk` is deliberately odd-sized so round boundaries shear across
-/// branch/squash activity rather than aligning with it.
-fn assert_lane_width_equivalent(
-    configs: &[MachineConfig],
-    program: &Arc<earlyreg::isa::Program>,
-    budget: u64,
-    width: usize,
-    chunk: u64,
-    label: &str,
-) {
-    let limits = RunLimits::instructions(budget);
-    let trace = decoded_trace_for(program, budget.saturating_add(TRACE_SLACK));
-
-    let sequential: Vec<SimStats> = configs
-        .iter()
-        .map(|config| {
-            let mut sim = Simulator::with_replay(*config, Arc::clone(program), Arc::clone(&trace));
-            sim.run(limits)
-        })
-        .collect();
-
-    let mut pool = SimPool::new();
-    let mut laned: Vec<SimStats> = Vec::with_capacity(configs.len());
-    for group_configs in configs.chunks(width) {
-        let mut group = LaneGroup::new(chunk);
-        for config in group_configs {
-            group.push(
-                Simulator::with_replay_pooled(
-                    *config,
-                    Arc::clone(program),
-                    Arc::clone(&trace),
-                    &mut pool,
-                ),
-                limits,
-            );
-        }
-        let (stats, _) = group.into_results(&mut pool);
-        laned.extend(stats);
-    }
-
-    assert_eq!(
-        laned, sequential,
-        "{label}: width-{width} lane stepping diverged from sequential runs"
-    );
-}
-
-/// Every registered policy, lane-stepped against sequential, on a synthetic
-/// workload (swim), an irregular-branch synthetic (gcc) and assembled
-/// kernels — at lane widths 1, 2 and all-policies-in-one-group.
-#[test]
-fn lane_stepped_matches_sequential_for_every_registered_policy() {
-    for id in ["swim", "gcc", "matmul", "quicksort", "hazard"] {
-        let workload = workload_by_name(id, Scale::Smoke).expect("registered workload");
-        let configs: Vec<MachineConfig> = registry::registered()
-            .map(|policy| MachineConfig::icpp02(policy, 48, 48))
-            .collect();
-        for width in [1, 2, configs.len()] {
-            assert_lane_width_equivalent(
-                &configs,
-                &workload.program,
-                20_000,
-                width,
-                257,
-                &format!("{id} all policies"),
-            );
-        }
-    }
-}
-
-/// The `hazard` kernel mispredicts roughly one branch in nine cycles, so a
-/// small lockstep chunk observes lanes both detached (wrong path) and
-/// re-synchronised (back on trace) across rounds — pinning that divergence
-/// detach/re-attach is exercised, not just tolerated, by the lane engine.
-#[test]
-fn lane_groups_observe_divergence_and_resync() {
-    let workload = workload_by_name("hazard", Scale::Smoke).expect("registered kernel");
-    let trace = decoded_trace_for(&workload.program, 20_000 + TRACE_SLACK);
-    let mut pool = SimPool::new();
-    let mut group = LaneGroup::new(16);
-    for policy in [ReleasePolicy::Conventional, ReleasePolicy::Extended] {
-        group.push(
-            Simulator::with_replay_pooled(
-                MachineConfig::icpp02(policy, 48, 48),
-                workload.program.clone(),
-                Arc::clone(&trace),
-                &mut pool,
-            ),
-            RunLimits::instructions(20_000),
-        );
-    }
-    let (_, lane_stats) = group.into_results(&mut pool);
-    assert!(
-        lane_stats.detached_lane_rounds > 0,
-        "expected some rounds to start on a wrong path: {lane_stats:?}"
-    );
-    assert!(
-        lane_stats.full_rounds > 0,
-        "expected some rounds with every lane back on trace: {lane_stats:?}"
-    );
-}
-
-/// Branch-storm executions grow the rename unit's journal/checkpoint scratch
-/// high-water marks; the lane engine trims them at point boundaries so
-/// pooled units do not carry peak capacity across a sweep.  Regression test
-/// for the trim hook: capacity must come back down to the trim bound.
-#[test]
-fn scratch_capacity_is_trimmed_at_point_boundaries() {
-    let workload = workload_by_name("hazard", Scale::Smoke).expect("registered kernel");
-    let config = MachineConfig::icpp02(ReleasePolicy::Extended, 48, 48);
-    let mut sim = Simulator::new(config, workload.program.clone());
-    sim.run(RunLimits::instructions(20_000));
-    let peak = sim.rename_unit().scratch_capacity();
-    sim.trim_scratch();
-    let trimmed = sim.rename_unit().scratch_capacity();
-    assert!(
-        trimmed <= 64 * 9,
-        "trim must bound every scratch buffer (got {trimmed} entries)"
-    );
-    assert!(
-        trimmed <= peak,
-        "trim must never grow capacity ({peak} -> {trimmed})"
-    );
-
-    // The lane engine applies the same trim when a lane finishes: a group's
-    // reclaimed carcasses must not exceed the trim bound either.
-    let mut pool = SimPool::new();
-    let mut group = LaneGroup::with_default_chunk();
-    group.push(
-        Simulator::new_pooled(
-            MachineConfig::icpp02(ReleasePolicy::Extended, 48, 48),
-            workload.program.clone(),
-            &mut pool,
-        ),
-        RunLimits::instructions(20_000),
-    );
-    group.run();
-    let (results, _) = group.into_results(&mut pool);
-    assert_eq!(results.len(), 1);
-}
-
-proptest! {
-    #![proptest_config(test_support::cases(16))]
-
-    /// Random hazard-stress programs, lane-stepped at mixed widths against
-    /// sequential replay.  The generator's branch cascades force lanes onto
-    /// wrong paths (divergence detach) and back (re-sync) at uncorrelated
-    /// times, and the odd chunk size shears lockstep round boundaries across
-    /// those events; stats must stay bit-identical throughout.
-    #[test]
-    fn lane_stepping_matches_sequential_on_random_hazard_programs(
-        seed in 0u64..1u64 << 48,
-        width in 1usize..=4,
-        chunk in prop::sample::select(vec![16u64, 129, 1024]),
-    ) {
-        let hazard = HazardConfig::from_case_seed(seed);
-        let blocks = plan_blocks(&hazard);
-        let program = Arc::new(compile(&hazard, &blocks));
-        // Mixed policies *and* register-file sizes: lanes in one group reach
-        // free-list stalls, squashes and halt at different rounds, forcing
-        // ragged completion and divergence at uncorrelated times.
-        let configs: Vec<MachineConfig> = [
-            (ReleasePolicy::Conventional, 40),
-            (ReleasePolicy::Extended, 44),
-            (ReleasePolicy::Oracle, 40),
-            (ReleasePolicy::Counter, 48),
-        ]
-        .into_iter()
-        .map(|(policy, regs)| MachineConfig::small(policy, regs, regs))
-        .collect();
-        assert_lane_width_equivalent(
-            &configs,
-            &program,
-            10_000,
-            width,
-            chunk,
-            &format!("hazard seed {seed}"),
-        );
     }
 }
