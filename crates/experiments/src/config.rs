@@ -64,40 +64,6 @@ impl ExperimentOptions {
             .map_err(|_| format!("invalid instruction budget '{value}'"))
     }
 
-    /// Parse command-line arguments of the experiment binaries.
-    ///
-    /// Recognised flags: `--scale smoke|bench|full`, `--threads N`,
-    /// `--max-instructions N`.  Unknown flags produce an error message
-    /// listing the supported ones.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut options = Self::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    let value = iter.next().ok_or("--scale requires a value")?;
-                    options.scale = Self::parse_scale(&value)?;
-                }
-                "--threads" | "--jobs" => {
-                    let value = iter.next().ok_or("--threads requires a value")?;
-                    options.threads = Self::parse_threads(&value)?;
-                }
-                "--max-instructions" => {
-                    let value = iter.next().ok_or("--max-instructions requires a value")?;
-                    options.max_instructions = Self::parse_budget(&value)?;
-                }
-                "--help" | "-h" => {
-                    return Err(
-                        "usage: [--scale smoke|bench|full] [--threads N] [--max-instructions N]"
-                            .to_string(),
-                    )
-                }
-                other => return Err(format!("unknown argument '{other}'; try --help")),
-            }
-        }
-        Ok(options)
-    }
-
     /// Number of worker threads to actually use.
     pub fn effective_threads(&self) -> usize {
         if self.threads > 0 {
@@ -358,10 +324,6 @@ impl Scenario {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn default_options() {
         let o = ExperimentOptions::default();
@@ -371,26 +333,27 @@ mod tests {
 
     #[test]
     fn parses_scale_and_threads() {
-        let o =
-            ExperimentOptions::from_args(args(&["--scale", "smoke", "--threads", "3"])).unwrap();
-        assert_eq!(o.scale, Scale::Smoke);
-        assert_eq!(o.threads, 3);
+        assert_eq!(ExperimentOptions::parse_scale("smoke"), Ok(Scale::Smoke));
+        assert_eq!(ExperimentOptions::parse_scale("full"), Ok(Scale::Full));
+        let threads = ExperimentOptions::parse_threads("3").unwrap();
+        let o = ExperimentOptions {
+            threads,
+            ..ExperimentOptions::with_scale(Scale::Smoke)
+        };
         assert_eq!(o.effective_threads(), 3);
     }
 
     #[test]
-    fn parses_max_instructions_and_jobs_alias() {
-        let o = ExperimentOptions::from_args(args(&["--max-instructions", "1234", "--jobs", "2"]))
-            .unwrap();
-        assert_eq!(o.max_instructions, 1234);
-        assert_eq!(o.threads, 2);
+    fn parses_instruction_budget() {
+        assert_eq!(ExperimentOptions::parse_budget("1234"), Ok(1234));
     }
 
     #[test]
-    fn rejects_unknown_arguments() {
-        assert!(ExperimentOptions::from_args(args(&["--bogus"])).is_err());
-        assert!(ExperimentOptions::from_args(args(&["--scale", "huge"])).is_err());
-        assert!(ExperimentOptions::from_args(args(&["--help"])).is_err());
+    fn rejects_malformed_values() {
+        assert!(ExperimentOptions::parse_scale("huge").is_err());
+        assert!(ExperimentOptions::parse_threads("many").is_err());
+        assert!(ExperimentOptions::parse_threads("-1").is_err());
+        assert!(ExperimentOptions::parse_budget("1e6").is_err());
     }
 
     #[test]

@@ -364,27 +364,22 @@ pub struct RunSummary {
     pub coalesced: usize,
     /// Points actually simulated.
     pub simulated: usize,
-    /// The full resolver counters, including the tiered-resolver extras
-    /// (`lru_hits`, `peer_hits`, ...); the first three fields above are
-    /// copies of its leading counters, kept for compatibility.
+    /// The full resolver counters, including `lru_hits`; the three fields
+    /// above are copies of its leading counters, kept for compatibility.
     pub resolve: ResolveStats,
 }
 
 impl RunSummary {
     /// One-line human summary (the CLI prints it; CI greps it, so the
-    /// leading fields are format-stable; tiered-resolver counters are
-    /// appended only when any of them fired).
+    /// leading fields are format-stable; ` lru_hits=N` is appended only
+    /// when the memory tier answered a point).
     pub fn line(&self) -> String {
         let mut line = format!(
             "points: planned={} unique={} cache_hits={} coalesced={} simulated={}",
             self.planned, self.unique, self.cache_hits, self.coalesced, self.simulated,
         );
-        let remote = &self.resolve;
-        if remote.lru_hits + remote.peer_hits + remote.peer_failures + remote.breaker_skips > 0 {
-            line.push_str(&format!(
-                " lru_hits={} peer_hits={} peer_failures={} breaker_trips={}",
-                remote.lru_hits, remote.peer_hits, remote.peer_failures, remote.breaker_trips,
-            ));
+        if self.resolve.lru_hits > 0 {
+            line.push_str(&format!(" lru_hits={}", self.resolve.lru_hits));
         }
         line.push_str(&format!(" (experiments: {})", self.experiments.join(" ")));
         line
@@ -401,11 +396,11 @@ pub struct EngineOutcome {
 
 /// Counters of one plan resolution.
 ///
-/// The first three tiers are what [`CacheResolver`] reports; the remaining
-/// counters belong to tiered resolvers (`earlyreg-serve`'s chain: in-memory
-/// LRU → disk cache → remote peers → local compute) and stay zero
-/// elsewhere.  Whatever the mix, the *results* are identical — the tiers
-/// only change where the bits come from, never what they are.
+/// [`CacheResolver`] reports the disk hits and simulations; `coalesced` and
+/// `lru_hits` belong to `earlyreg-serve`'s resolver (in-memory LRU → disk
+/// cache → single-flight join → local simulation) and stay zero elsewhere.
+/// Whatever the mix, the *results* are identical — the tiers only change
+/// where the bits come from, never what they are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolveStats {
     /// Points answered by the on-disk cache.
@@ -417,22 +412,14 @@ pub struct ResolveStats {
     pub simulated: usize,
     /// Points answered by an in-memory LRU tier.
     pub lru_hits: usize,
-    /// Points answered by a remote peer.
-    pub peer_hits: usize,
-    /// Failed remote attempts (each one degraded to the next tier).
-    pub peer_failures: usize,
-    /// Circuit breakers tripped open during this resolution.
-    pub breaker_trips: usize,
-    /// Remote hops skipped outright because a breaker was open.
-    pub breaker_skips: usize,
 }
 
 /// Strategy for turning a deduplicated plan into results.
 ///
 /// The engine ships [`CacheResolver`] (cache lookup, parallel simulation of
 /// the misses, store-back); `earlyreg-serve` provides a single-flight
-/// resolver that additionally dedups identical points across concurrent
-/// requests.  The input slice is sorted by [`RunPoint`] and deduplicated by
+/// resolver that puts an in-memory LRU in front of the disk cache and
+/// dedups identical points across concurrent requests.  The input slice is sorted by [`RunPoint`] and deduplicated by
 /// digest; the returned [`ResultSet`] must contain every point in it.
 pub trait PointResolver: Sync {
     /// Resolve every planned point.
@@ -642,6 +629,29 @@ mod tests {
             ["fig03", "fig10"]
         );
         assert!(select(&["fig99".to_string()]).is_err());
+    }
+
+    #[test]
+    fn summary_line_appends_lru_hits_only_when_nonzero() {
+        let mut summary = RunSummary {
+            experiments: vec!["fig10"],
+            planned: 3,
+            unique: 2,
+            cache_hits: 1,
+            coalesced: 0,
+            simulated: 1,
+            resolve: ResolveStats::default(),
+        };
+        assert_eq!(
+            summary.line(),
+            "points: planned=3 unique=2 cache_hits=1 coalesced=0 simulated=1 (experiments: fig10)"
+        );
+        summary.resolve.lru_hits = 4;
+        assert_eq!(
+            summary.line(),
+            "points: planned=3 unique=2 cache_hits=1 coalesced=0 simulated=1 lru_hits=4 \
+             (experiments: fig10)"
+        );
     }
 
     #[test]

@@ -85,30 +85,6 @@ pub fn run_configured_point(
     RunResult { point, stats }
 }
 
-/// Helper: build the canonical cross product of points for the given
-/// workloads, policies and (symmetric) register file sizes.
-pub fn cross_points(
-    workloads: &[Workload],
-    policies: &[ReleasePolicy],
-    sizes: &[usize],
-) -> Vec<RunPoint> {
-    let mut points = Vec::with_capacity(workloads.len() * policies.len() * sizes.len());
-    for w in workloads {
-        for &policy in policies {
-            for &size in sizes {
-                points.push(RunPoint {
-                    workload: w.name(),
-                    class: w.class(),
-                    policy,
-                    phys_int: size,
-                    phys_fp: size,
-                });
-            }
-        }
-    }
-    points
-}
-
 /// Run `job` over every item on `threads` scoped worker threads and return
 /// the results **in input order**: each worker writes its result into the
 /// slot of the item it claimed, so the output is deterministic regardless of
@@ -182,16 +158,6 @@ pub fn batch_order<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earlyreg_workloads::Scale;
-
-    #[test]
-    fn cross_points_covers_the_product() {
-        let workloads = earlyreg_workloads::suite(Scale::Smoke);
-        let points = cross_points(&workloads, &[ReleasePolicy::Conventional], &[48, 64]);
-        // every registered workload (15) x 1 policy x 2 sizes.
-        assert_eq!(points.len(), workloads.len() * 2);
-        assert_eq!(points.len(), 30);
-    }
 
     #[test]
     fn run_parallel_preserves_input_order() {

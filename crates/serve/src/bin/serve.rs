@@ -4,16 +4,13 @@
 //! earlyreg-serve [--addr A] [--port P] [--workers N] [--queue N]
 //!                [--sim-threads N] [--cache DIR | --no-cache]
 //!                [--max-instructions N] [--port-file PATH] [--allow-shutdown]
-//!                [--peer ADDR]... [--resolver-config K=V[,K=V...]]
 //!                [--drain-grace-ms N]
 //! ```
 //!
 //! Binds, prints the listening address (port `0` asks the kernel for an
 //! ephemeral port; `--port-file` writes the resolved port for scripts),
 //! serves until SIGINT/SIGTERM (or `POST /shutdown` with
-//! `--allow-shutdown`), then drains and exits cleanly.  With `--peer` the
-//! node resolves points through the fault-tolerant tiered chain (memory →
-//! disk → peers → local); see `docs/SERVE.md` § Resilience.
+//! `--allow-shutdown`), then drains and exits cleanly.
 
 use earlyreg_serve::{signal, start, ServeConfig};
 use std::path::PathBuf;
@@ -32,12 +29,6 @@ usage: earlyreg-serve [options]
   --max-instructions N  cap on per-point instruction budgets (default 5000000)
   --port-file PATH      write the resolved port to PATH after binding
   --allow-shutdown      honour POST /shutdown (tests / CI)
-  --peer ADDR           resolve points via this peer before simulating
-                        (repeatable; each peer gets its own circuit breaker)
-  --resolver-config S   comma-separated key=value resolver knobs
-                        (lru_capacity, deadline_ms, retries, backoff_base_ms,
-                         backoff_cap_ms, jitter_seed, breaker_threshold,
-                         breaker_cooldown_ms, breaker_half_open)
   --drain-grace-ms N    keep accepting for N ms after drain begins while
                         /readyz answers 503 (default 0)
 ";
@@ -87,14 +78,6 @@ fn main() {
             },
             "--port-file" => port_file = Some(PathBuf::from(value("--port-file"))),
             "--allow-shutdown" => config.service.allow_shutdown = true,
-            "--peer" => config.service.resolver.peers.push(value("--peer")),
-            "--resolver-config" => {
-                for assignment in value("--resolver-config").split(',') {
-                    if let Err(message) = config.service.resolver.apply(assignment) {
-                        fail(&format!("invalid --resolver-config: {message}"));
-                    }
-                }
-            }
             "--drain-grace-ms" => match value("--drain-grace-ms").parse() {
                 Ok(millis) => config.drain_grace = Duration::from_millis(millis),
                 Err(_) => fail("invalid --drain-grace-ms (must be a non-negative integer)"),

@@ -183,10 +183,8 @@ pub fn read_request_timeout(
 }
 
 /// One read with the socket timeout re-armed to the time left before
-/// `deadline`; an expired deadline is a timeout error.  Shared with the
-/// peer client ([`crate::client`]), which enforces its `X-Deadline-Ms`
-/// budget with exactly this machinery.
-pub(crate) fn read_before_deadline(
+/// `deadline`; an expired deadline is a timeout error.
+fn read_before_deadline(
     stream: &mut TcpStream,
     chunk: &mut [u8],
     deadline: Instant,

@@ -10,13 +10,10 @@
 //! * **single-flight dedup** ([`singleflight`]) makes identical in-flight
 //!   points simulate exactly once — concurrent requests for the same point
 //!   wait on the leader's result instead of re-simulating;
-//! * a **fault-tolerant tiered [`resolver`] chain** (in-memory LRU → disk →
-//!   remote peers → local compute) with per-point deadlines, capped
-//!   exponential [`backoff`] with seeded jitter, and a per-peer circuit
-//!   [`breaker`] — every tier failure degrades to the next tier, and the
-//!   answer stays bit-identical to a cold local run;
-//! * a **deterministic [`fault`]-injection proxy** for chaos tests and the
-//!   CI chaos smoke;
+//! * a bounded **in-memory LRU** in front of the disk cache answers hot
+//!   points without a disk read; every point walks LRU → disk →
+//!   single-flight join → local simulation, and the answer is the same
+//!   bits whichever step supplied it;
 //! * a **fixed worker pool** over `std::net::TcpListener` with a **bounded
 //!   request queue** sheds load with `503` instead of queueing unboundedly;
 //! * **graceful shutdown** on SIGINT/SIGTERM (or `POST /shutdown` when
@@ -40,17 +37,12 @@
 //!
 //! [`PointCache`]: earlyreg_experiments::PointCache
 
-pub mod backoff;
-pub mod breaker;
-pub mod client;
-pub mod fault;
 pub mod http;
-pub mod resolver;
+mod lru;
 pub mod server;
 pub mod service;
 pub mod signal;
 pub mod singleflight;
 
-pub use resolver::{ResolverChain, ResolverConfig};
 pub use server::{start, RunningServer, ServeConfig};
 pub use service::{Service, ServiceConfig};

@@ -2,17 +2,17 @@
 //! single-flight point resolver over the experiment engine.
 //!
 //! A [`Service`] is shared (behind an `Arc`) by every worker thread.  It
-//! owns the on-disk [`PointCache`], the [`SingleFlight`] map, one
-//! [`WorkloadSet`] per requested scale (built lazily, shared across
-//! requests), and the counters `/healthz` reports.  It implements the
+//! owns the on-disk [`PointCache`], the in-memory LRU in front of it, the
+//! [`SingleFlight`] map, one [`WorkloadSet`] per requested scale (built
+//! lazily, shared across requests), and the counters `/healthz` reports.  It implements the
 //! engine's [`PointResolver`], so `POST /run` goes through exactly the same
 //! plan → dedup → resolve → render pipeline as the `earlyreg-exp` CLI —
 //! with cross-request single-flight dedup layered on top.
 
 use crate::http::{Request, Response};
-use crate::resolver::{self, ResolverChain, ResolverConfig};
+use crate::lru::{Lru, LRU_CAPACITY};
 use crate::signal;
-use crate::singleflight::{Join, SingleFlight};
+use crate::singleflight::{Join, Leader, SingleFlight};
 use earlyreg_core::ReleasePolicy;
 use earlyreg_experiments::engine::{
     self, PlanContext, PlannedPoint, PointResolver, ResolveStats, ResultSet, WorkloadSet,
@@ -25,7 +25,7 @@ use serde::value::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tunables of the application layer.
 #[derive(Debug, Clone)]
@@ -44,9 +44,6 @@ pub struct ServiceConfig {
     /// Cap on the per-point committed-instruction budget a request may ask
     /// for (and the default when it asks for none).
     pub max_instructions_limit: u64,
-    /// Resolver-chain tunables: the in-memory LRU tier, the peer list and
-    /// the deadline/retry/breaker knobs (`--peer`, `--resolver-config`).
-    pub resolver: ResolverConfig,
 }
 
 impl Default for ServiceConfig {
@@ -57,7 +54,6 @@ impl Default for ServiceConfig {
             allow_shutdown: false,
             max_request_points: 2048,
             max_instructions_limit: 5_000_000,
-            resolver: ResolverConfig::default(),
         }
     }
 }
@@ -71,13 +67,11 @@ pub struct Service {
     // — the same invariant the on-disk cache enforces on load.
     flights: SingleFlight<String, SimStats>,
     suites: Mutex<HashMap<Scale, Arc<WorkloadSet>>>,
-    chain: ResolverChain,
+    lru: Mutex<Lru>,
     shutdown: Arc<AtomicBool>,
     simulations: AtomicU64,
     coalesced: AtomicU64,
     lru_hits: AtomicU64,
-    peer_hits: AtomicU64,
-    peer_failures: AtomicU64,
     requests: AtomicU64,
 }
 
@@ -86,19 +80,16 @@ impl Service {
     /// (set by `POST /shutdown` when allowed).
     pub fn new(config: ServiceConfig, shutdown: Arc<AtomicBool>) -> Self {
         let cache = config.cache_dir.clone().map(PointCache::new);
-        let chain = ResolverChain::new(config.resolver.clone());
         Service {
             config,
             cache,
             flights: SingleFlight::new(),
             suites: Mutex::new(HashMap::new()),
-            chain,
+            lru: Mutex::new(Lru::new(LRU_CAPACITY)),
             shutdown,
             simulations: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             lru_hits: AtomicU64::new(0),
-            peer_hits: AtomicU64::new(0),
-            peer_failures: AtomicU64::new(0),
             requests: AtomicU64::new(0),
         }
     }
@@ -119,19 +110,10 @@ impl Service {
         self.lru_hits.load(Ordering::Relaxed)
     }
 
-    /// Total points answered by a remote peer.
-    pub fn peer_hits(&self) -> u64 {
-        self.peer_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total failed remote attempts (each degraded to the next tier).
-    pub fn peer_failures(&self) -> u64 {
-        self.peer_failures.load(Ordering::Relaxed)
-    }
-
-    /// The resolver chain (tests read breaker snapshots off it).
-    pub fn chain(&self) -> &ResolverChain {
-        &self.chain
+    /// The memory tier.  Its lock recovers from poisoning: no operation
+    /// on the map can leave it mid-mutation.
+    fn lru(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Whether the service has begun draining (shutdown flag or signal).
@@ -192,37 +174,7 @@ impl Service {
             ("lru_hits".to_string(), Value::U64(self.lru_hits())),
             (
                 "lru_entries".to_string(),
-                Value::U64(self.chain.memory_len() as u64),
-            ),
-            ("peer_hits".to_string(), Value::U64(self.peer_hits())),
-            (
-                "peer_failures".to_string(),
-                Value::U64(self.peer_failures()),
-            ),
-            (
-                "breaker_trips".to_string(),
-                Value::U64(self.chain.breaker_trips()),
-            ),
-            (
-                "peers".to_string(),
-                Value::Seq(
-                    self.chain
-                        .peer_snapshots()
-                        .into_iter()
-                        .map(|peer| {
-                            Value::Map(vec![
-                                ("addr".to_string(), Value::Str(peer.addr)),
-                                (
-                                    "breaker".to_string(),
-                                    Value::Str(peer.breaker.state.to_string()),
-                                ),
-                                ("trips".to_string(), Value::U64(peer.breaker.trips)),
-                                ("hits".to_string(), Value::U64(peer.hits)),
-                                ("failures".to_string(), Value::U64(peer.failures)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                Value::U64(self.lru().len() as u64),
             ),
         ]);
         Response::json(200, body.canonical())
@@ -393,15 +345,10 @@ impl Service {
             .with_header("X-Cache-Hits", stats.cache_hits.to_string())
             .with_header("X-Coalesced", stats.coalesced.to_string())
             .with_header("X-Simulated", stats.simulated.to_string())
-            .with_header("X-Lru-Hits", stats.lru_hits.to_string())
-            .with_header("X-Peer-Hits", stats.peer_hits.to_string())
-            .with_header("X-Peer-Failures", stats.peer_failures.to_string())
-            .with_header("X-Breaker-Trips", stats.breaker_trips.to_string());
+            .with_header("X-Lru-Hits", stats.lru_hits.to_string());
         if unique.len() == 1 {
-            // Single-point responses carry the point's full content digest;
-            // a chained caller compares it against its own plan so version
-            // skew between nodes degrades to local compute instead of
-            // silently mixing incompatible statistics.
+            // Single-point responses carry the point's full content digest,
+            // which names the point's cache entry.
             response = response.with_header("X-Point-Digest", format!("{:016x}", unique[0].digest));
         }
         response
@@ -487,18 +434,6 @@ impl Service {
             (
                 "lru_hits".to_string(),
                 Value::U64(summary.resolve.lru_hits as u64),
-            ),
-            (
-                "peer_hits".to_string(),
-                Value::U64(summary.resolve.peer_hits as u64),
-            ),
-            (
-                "peer_failures".to_string(),
-                Value::U64(summary.resolve.peer_failures as u64),
-            ),
-            (
-                "breaker_trips".to_string(),
-                Value::U64(summary.resolve.breaker_trips as u64),
             ),
         ]);
         let reports: Vec<Value> = outcome.reports.iter().map(|r| r.envelope()).collect();
@@ -594,11 +529,9 @@ impl Service {
     }
 }
 
-/// The tiered single-flight resolver.  Every point walks the chain —
-/// in-memory LRU → disk cache → (single-flight join) → remote peers →
-/// local simulation — and **any tier failure degrades to the next tier**;
-/// the last tier always succeeds, so a request completes with bit-identical
-/// results no matter how many peers are refusing, stalling or lying.
+/// The single-flight resolver.  Every point walks in-memory LRU → disk
+/// cache → single-flight join → local simulation, and whichever step
+/// answers, the result is the same bits as a cold local run.
 ///
 /// Leads are always published before follows are awaited, so two requests
 /// that lead and follow each other's points cannot deadlock.
@@ -606,122 +539,34 @@ impl PointResolver for Service {
     fn resolve(&self, ctx: &PlanContext, unique: &[PlannedPoint]) -> (ResultSet, ResolveStats) {
         let mut results = ResultSet::default();
         let mut stats = ResolveStats::default();
-        let mut leaders = Vec::new();
+        let mut led = Vec::new();
         let mut followers = Vec::new();
 
         for planned in unique {
             let canonical = planned.key.canonical();
-            if let Some(hit) = self.chain.memory_get(&canonical) {
-                stats.lru_hits += 1;
+            if let Some(hit) = self.lookup(planned, &canonical, &mut stats) {
                 record(&mut results, planned, hit);
                 continue;
             }
-            if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
-                stats.cache_hits += 1;
-                self.chain.memory_put(&canonical, &cached);
-                record(&mut results, planned, cached);
-                continue;
-            }
-            match self.flights.join(canonical) {
-                Join::Leader(leader) => leaders.push((planned, leader)),
+            match self.flights.join(canonical.clone()) {
+                Join::Leader(leader) => {
+                    if let Some(leader) =
+                        self.recheck(planned, &canonical, leader, &mut results, &mut stats)
+                    {
+                        led.push((planned, leader));
+                    }
+                }
                 Join::Follower(follower) => followers.push((planned, follower)),
             }
         }
 
-        // A leader re-checks the memory and disk tiers after winning the
-        // join: between this request's initial miss and the join, a previous
-        // leader may have resolved, stored and retired its flight — without
-        // the re-check that race would re-resolve an already-stored point.
-        let mut to_resolve = Vec::with_capacity(leaders.len());
-        for (planned, leader) in leaders {
-            let canonical = planned.key.canonical();
-            if let Some(hit) = self.chain.memory_get(&canonical) {
-                stats.lru_hits += 1;
-                leader.publish(hit.clone());
-                record(&mut results, planned, hit);
-                continue;
-            }
-            match self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
-                Some(cached) => {
-                    stats.cache_hits += 1;
-                    self.chain.memory_put(&canonical, &cached);
-                    leader.publish(cached.clone());
-                    record(&mut results, planned, cached);
-                }
-                None => to_resolve.push((planned, leader)),
-            }
-        }
-
-        // Remote tier: led points whose machine the peer can reproduce are
-        // offered to the peer chain, in parallel (peer hops are IO-bound —
-        // the sim-thread pool doubles as the connection pool).  A point the
-        // chain cannot answer (no peers, ineligible, every hop failed)
-        // falls through to local simulation below.
-        let mut remote_answers: Vec<Option<SimStats>> =
-            (0..to_resolve.len()).map(|_| None).collect();
-        if self.chain.has_peers() {
-            let requests: Vec<(usize, &PlannedPoint, String)> = to_resolve
-                .iter()
-                .enumerate()
-                .filter(|(_, (planned, _))| resolver::peer_eligible(planned))
-                .map(|(slot, (planned, _))| {
-                    (slot, *planned, resolver::peer_request_body(ctx, planned))
-                })
-                .collect();
-            if !requests.is_empty() {
-                let outcomes =
-                    run_parallel(self.config.sim_threads, &requests, |(_, planned, body)| {
-                        self.chain.resolve_remote(planned, body)
-                    });
-                for ((slot, _, _), outcome) in requests.iter().zip(outcomes) {
-                    stats.peer_failures += outcome.failures;
-                    stats.breaker_trips += outcome.trips;
-                    stats.breaker_skips += outcome.breaker_skips;
-                    if let Some(remote) = outcome.stats {
-                        stats.peer_hits += 1;
-                        remote_answers[*slot] = Some(remote);
-                    }
-                }
-            }
-        }
-        let mut to_simulate = Vec::with_capacity(to_resolve.len());
-        for ((planned, leader), answer) in to_resolve.into_iter().zip(remote_answers) {
-            match answer {
-                Some(remote) => {
-                    // Peer answers enter the local tiers exactly like
-                    // simulated ones: store before publish.
-                    if let Some(cache) = &self.cache {
-                        let _ = cache.store(&planned.key, &remote);
-                    }
-                    self.chain.memory_put(&planned.key.canonical(), &remote);
-                    leader.publish(remote.clone());
-                    record(&mut results, planned, remote);
-                }
-                None => to_simulate.push((planned, leader)),
-            }
-        }
-
-        // Local tier: simulate every remaining led point (the per-request
-        // parallelism knob), then store to the cache *before* publishing so
-        // late joiners that just missed the flight hit the disk instead of
-        // re-simulating.
-        let led_points: Vec<&PlannedPoint> =
-            to_simulate.iter().map(|(planned, _)| *planned).collect();
+        // Simulate every led point (the per-request parallelism knob).
+        let led_points: Vec<&PlannedPoint> = led.iter().map(|(planned, _)| *planned).collect();
         let simulated = run_parallel(self.config.sim_threads, &led_points, |planned| {
             engine::simulate_planned(ctx, planned)
         });
-        for ((planned, leader), result) in to_simulate.into_iter().zip(simulated) {
-            self.simulations.fetch_add(1, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                if let Err(error) = cache.store(&planned.key, &result.stats) {
-                    eprintln!("warning: cannot cache point {:?}: {error}", planned.point);
-                }
-            }
-            self.chain
-                .memory_put(&planned.key.canonical(), &result.stats);
-            leader.publish(result.stats.clone());
-            stats.simulated += 1;
-            results.insert(planned.digest, result);
+        for ((planned, leader), result) in led.into_iter().zip(simulated) {
+            self.settle(planned, leader, result, &mut results, &mut stats);
         }
 
         for (planned, follower) in followers {
@@ -742,21 +587,81 @@ impl PointResolver for Service {
             .fetch_add(stats.coalesced as u64, Ordering::Relaxed);
         self.lru_hits
             .fetch_add(stats.lru_hits as u64, Ordering::Relaxed);
-        self.peer_hits
-            .fetch_add(stats.peer_hits as u64, Ordering::Relaxed);
-        self.peer_failures
-            .fetch_add(stats.peer_failures as u64, Ordering::Relaxed);
         (results, stats)
     }
 }
 
+/// The obligation to publish one point's statistics to its followers.
+type PointLeader<'s> = Leader<'s, String, SimStats>;
+
 impl Service {
+    /// The memory tier, then the disk tier (a disk hit is admitted to
+    /// memory); the hit is counted in `stats`.
+    fn lookup(
+        &self,
+        planned: &PlannedPoint,
+        canonical: &str,
+        stats: &mut ResolveStats,
+    ) -> Option<SimStats> {
+        if let Some(hit) = self.lru().get(canonical) {
+            stats.lru_hits += 1;
+            return Some(hit);
+        }
+        let cached = self.cache.as_ref()?.load(&planned.key)?;
+        stats.cache_hits += 1;
+        self.lru().put(canonical, &cached);
+        Some(cached)
+    }
+
+    /// A new leader's re-check of the memory and disk tiers: between this
+    /// request's miss and its join, a previous leader may have resolved,
+    /// stored and retired its flight — without the re-check that race
+    /// would re-simulate an already-stored point.  A hit is published and
+    /// recorded; a miss hands the leader back to simulate the point.
+    fn recheck<'s>(
+        &self,
+        planned: &PlannedPoint,
+        canonical: &str,
+        leader: PointLeader<'s>,
+        results: &mut ResultSet,
+        stats: &mut ResolveStats,
+    ) -> Option<PointLeader<'s>> {
+        let Some(hit) = self.lookup(planned, canonical, stats) else {
+            return Some(leader);
+        };
+        leader.publish(hit.clone());
+        record(results, planned, hit);
+        None
+    }
+
+    /// Settle one simulated point: store it to disk *before* publishing, so
+    /// late joiners that just missed the flight hit the disk instead of
+    /// re-simulating; admit it to memory; publish; record.
+    fn settle(
+        &self,
+        planned: &PlannedPoint,
+        leader: PointLeader<'_>,
+        result: RunResult,
+        results: &mut ResultSet,
+        stats: &mut ResolveStats,
+    ) {
+        self.simulations.fetch_add(1, Ordering::Relaxed);
+        if let Some(cache) = &self.cache {
+            if let Err(error) = cache.store(&planned.key, &result.stats) {
+                eprintln!("warning: cannot cache point {:?}: {error}", planned.point);
+            }
+        }
+        self.lru().put(&planned.key.canonical(), &result.stats);
+        leader.publish(result.stats.clone());
+        stats.simulated += 1;
+        results.insert(planned.digest, result);
+    }
+
     /// Recover one point whose flight leader failed: re-check the memory
     /// and disk tiers (a racing leader may have landed), then re-join the
     /// flight — exactly one of the released followers becomes the new
-    /// leader and walks the remaining tiers (peers, then local simulation);
-    /// the rest follow again.  Loops only as long as successive leaders
-    /// keep failing.
+    /// leader and simulates; the rest follow again.  Loops only as long as
+    /// successive leaders keep failing.
     fn resolve_after_failed_leader(
         &self,
         ctx: &PlanContext,
@@ -766,55 +671,17 @@ impl Service {
     ) {
         loop {
             let canonical = planned.key.canonical();
-            if let Some(hit) = self.chain.memory_get(&canonical) {
-                stats.lru_hits += 1;
+            if let Some(hit) = self.lookup(planned, &canonical, stats) {
                 record(results, planned, hit);
                 return;
             }
-            if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
-                stats.cache_hits += 1;
-                self.chain.memory_put(&canonical, &cached);
-                record(results, planned, cached);
-                return;
-            }
-            match self.flights.join(canonical) {
+            match self.flights.join(canonical.clone()) {
                 Join::Leader(leader) => {
-                    // Same post-join re-check as the batch path: a racing
-                    // leader may have stored between our miss and the join.
-                    if let Some(cached) = self.cache.as_ref().and_then(|c| c.load(&planned.key)) {
-                        stats.cache_hits += 1;
-                        self.chain.memory_put(&planned.key.canonical(), &cached);
-                        leader.publish(cached.clone());
-                        record(results, planned, cached);
-                        return;
+                    if let Some(leader) = self.recheck(planned, &canonical, leader, results, stats)
+                    {
+                        let result = engine::simulate_planned(ctx, planned);
+                        self.settle(planned, leader, result, results, stats);
                     }
-                    if self.chain.has_peers() && resolver::peer_eligible(planned) {
-                        let body = resolver::peer_request_body(ctx, planned);
-                        let outcome = self.chain.resolve_remote(planned, &body);
-                        stats.peer_failures += outcome.failures;
-                        stats.breaker_trips += outcome.trips;
-                        stats.breaker_skips += outcome.breaker_skips;
-                        if let Some(remote) = outcome.stats {
-                            stats.peer_hits += 1;
-                            if let Some(cache) = &self.cache {
-                                let _ = cache.store(&planned.key, &remote);
-                            }
-                            self.chain.memory_put(&planned.key.canonical(), &remote);
-                            leader.publish(remote.clone());
-                            record(results, planned, remote);
-                            return;
-                        }
-                    }
-                    let result = engine::simulate_planned(ctx, planned);
-                    self.simulations.fetch_add(1, Ordering::Relaxed);
-                    if let Some(cache) = &self.cache {
-                        let _ = cache.store(&planned.key, &result.stats);
-                    }
-                    self.chain
-                        .memory_put(&planned.key.canonical(), &result.stats);
-                    leader.publish(result.stats.clone());
-                    stats.simulated += 1;
-                    results.insert(planned.digest, result);
                     return;
                 }
                 Join::Follower(follower) => {

@@ -114,6 +114,24 @@ fn healthz_and_experiments_respond() {
         health_json.get("simulations").and_then(Value::as_u64),
         Some(0)
     );
+    // The exact counter set: a key added or left behind fails here.
+    let Value::Map(entries) = &health_json else {
+        panic!("/healthz answers a JSON object: {}", health.body);
+    };
+    let mut keys: Vec<&str> = entries.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    let mut expected = [
+        "status",
+        "simulations",
+        "coalesced",
+        "requests",
+        "inflight_points",
+        "cache",
+        "lru_hits",
+        "lru_entries",
+    ];
+    expected.sort_unstable();
+    assert_eq!(keys, expected);
 
     let experiments = request(addr, "GET", "/experiments", "");
     assert_eq!(experiments.status, 200);
@@ -341,7 +359,7 @@ fn warm_points_response_is_bit_identical_to_cold() {
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert_eq!(cold.header("x-cache-hits"), Some("0"));
     assert_eq!(cold.header("x-simulated"), Some("1"));
-    // Single-point responses carry the content digest for peer validation.
+    // Single-point responses carry the digest naming the point's cache entry.
     assert_eq!(
         cold.header("x-point-digest").map(str::len),
         Some(16),
