@@ -1003,11 +1003,6 @@ impl RenameUnit {
     // recovery map coherence) are `debug_assertions`-gated below and vanish
     // entirely from release builds.
 
-    /// True when `phys` is currently on the free list of `class`.
-    pub fn free_list_contains(&self, class: RegClass, phys: PhysReg) -> bool {
-        self.bank(class).free.contains(phys)
-    }
-
     /// The in-flight (renamed, not yet committed or squashed) entries,
     /// oldest first — every operand/destination physical register the
     /// rename-side book still references.
@@ -1018,12 +1013,6 @@ impl RenameUnit {
     /// Ids of the branches with a live engine checkpoint, oldest first.
     pub fn checkpointed_branches(&self) -> impl Iterator<Item = InstrId> + '_ {
         self.checkpoints.iter().map(|c| c.branch_id)
-    }
-
-    /// True when the current speculative mapping of `reg` is stale (already
-    /// released) and must not be released or reused by its next redefinition.
-    pub fn skip_release_flagged(&self, reg: ArchReg) -> bool {
-        self.bank(reg.class()).skip_release[reg.index()]
     }
 
     /// Checkpoint-coherence probe: every *checkpointed* map entry that names

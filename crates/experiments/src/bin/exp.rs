@@ -64,7 +64,7 @@ fn list() {
         );
     }
     // Release policies come from the core registry: anything listed here is
-    // accepted by `--scenario` policies lines, the serve API and benches.
+    // accepted by `--scenario` policies lines, the serve API and `run_workload`.
     let descriptors = earlyreg_core::registry::descriptors();
     let width = descriptors.iter().map(|d| d.id.len()).max().unwrap_or(0);
     println!("policies:");
@@ -78,7 +78,7 @@ fn list() {
         );
     }
     // Workloads likewise: anything listed here is accepted by `--scenario`
-    // workloads lines, the serve API and benches.
+    // workloads lines, the serve API and `run_workload`.
     let descriptors = earlyreg_workloads::registry::descriptors();
     let width = descriptors.iter().map(|d| d.id.len()).max().unwrap_or(0);
     println!("workloads:");

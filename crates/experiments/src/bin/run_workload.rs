@@ -6,8 +6,13 @@
 //!   run_workload --workload swim [--policy <registered id, e.g. extended>]
 //!                [--int-regs N] [--fp-regs N] [--scale smoke|bench|full]
 //!                [--max-instructions N] [--exception-interval N] [--verify]
+//!
+//! Built with `--features profile`, it also prints the simulator's per-phase
+//! timing table (fetch/rename/issue/writeback/commit) after the statistics.
 
 use earlyreg_core::ReleasePolicy;
+use earlyreg_experiments::ExperimentOptions;
+use earlyreg_sim::profile::prof;
 use earlyreg_sim::{verify_against_emulator, MachineConfig, RunLimits, Simulator};
 use earlyreg_workloads::{workload_by_name, Scale};
 
@@ -57,12 +62,10 @@ fn parse_args() -> Args {
             "--int-regs" => args.int_regs = value().parse().unwrap_or_else(|_| usage()),
             "--fp-regs" => args.fp_regs = value().parse().unwrap_or_else(|_| usage()),
             "--scale" => {
-                args.scale = match value().as_str() {
-                    "smoke" => Scale::Smoke,
-                    "bench" => Scale::Bench,
-                    "full" => Scale::Full,
-                    _ => usage(),
-                }
+                args.scale = ExperimentOptions::parse_scale(&value()).unwrap_or_else(|error| {
+                    eprintln!("{error}");
+                    usage()
+                })
             }
             "--max-instructions" => {
                 args.max_instructions = value().parse().unwrap_or_else(|_| usage())
@@ -94,6 +97,10 @@ fn main() {
 
     let mut config = MachineConfig::icpp02(args.policy, args.int_regs, args.fp_regs);
     config.exceptions.interval = args.exception_interval;
+    if let Err(error) = config.validate() {
+        eprintln!("invalid machine: {error}");
+        std::process::exit(2);
+    }
     let mut sim = Simulator::new(config, workload.program.clone());
     let stats = sim.run(RunLimits::instructions(args.max_instructions));
 
@@ -157,6 +164,10 @@ fn main() {
             class_stats.branch_confirm_releases,
             class_stats.squash_mispredict_frees + class_stats.squash_exception_frees
         );
+    }
+    if prof::enabled() {
+        println!();
+        print!("{}", prof::take_report());
     }
 
     if args.verify {

@@ -294,17 +294,21 @@ impl Scenario {
                 }
             }
         }
-        // Surface invalid combinations (e.g. a non-power-of-two gshare) now,
-        // with the file context, instead of deep inside a sweep.
-        scenario
-            .machine(ReleasePolicy::Extended, 64, 64)
-            .validate()
-            .map_err(|e| {
-                format!(
-                    "scenario '{}' builds an invalid machine: {e}",
-                    scenario.name
-                )
-            })?;
+        // Surface invalid combinations (e.g. a non-power-of-two gshare, or a
+        // sweep size below the architectural minimum) now, with the file
+        // context, instead of deep inside a sweep worker.
+        let sizes = scenario.sweep_sizes.iter().flatten().copied();
+        for size in std::iter::once(64).chain(sizes) {
+            scenario
+                .machine(ReleasePolicy::Extended, size, size)
+                .validate()
+                .map_err(|e| {
+                    format!(
+                        "scenario '{}' builds an invalid machine at {size} registers: {e}",
+                        scenario.name
+                    )
+                })?;
+        }
         Ok(scenario)
     }
 
@@ -437,6 +441,8 @@ mod tests {
         assert!(Scenario::parse("x", "ros_size = lots").is_err());
         // A machine that fails validation is rejected at parse time.
         assert!(Scenario::parse("x", "gshare_bits = 60").is_err());
+        let error = Scenario::parse("x", "sweep_sizes = 10").unwrap_err();
+        assert!(error.contains("at 10 registers"), "{error}");
     }
 
     #[test]

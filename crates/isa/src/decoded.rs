@@ -254,14 +254,6 @@ impl DecodedTrace {
         self.fingerprint
     }
 
-    /// Approximate resident size in bytes (for capacity planning and the
-    /// benchmark report).
-    pub fn memory_bytes(&self) -> usize {
-        self.pcs.len() * (4 + 4 + 8 + 4)
-            + self.taken_bits.len() * 8
-            + self.kills.len() * std::mem::size_of::<KillEvent>()
-    }
-
     fn compute_fingerprint(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {

@@ -39,7 +39,6 @@ pub mod instr;
 pub mod program;
 pub mod reg;
 pub mod semantics;
-pub mod trace;
 
 pub use assembler::{assemble, assemble_program, ArgSpec, AsmError, Assembly};
 pub use builder::{Label, ProgramBuilder};

@@ -521,6 +521,20 @@ fn run_endpoint_returns_report_envelopes() {
         r#"{"experiments":["table1"],"scenario":"bogus_key = 1"}"#,
     );
     assert_eq!(bad_scenario.status, 400);
+    // A sweep size below the architectural minimum is caught at parse time,
+    // not by a panicking sweep worker.
+    let bad_sweep = request(
+        addr,
+        "POST",
+        "/run",
+        r#"{"experiments":["fig11"],"scenario":"sweep_sizes = 10"}"#,
+    );
+    assert_eq!(bad_sweep.status, 400, "{}", bad_sweep.body);
+    assert!(
+        bad_sweep.body.contains("at 10 registers"),
+        "{}",
+        bad_sweep.body
+    );
 
     // A scenario can retarget the figure sweeps at any registered policy
     // set; an unknown policy name in it is a 400 naming the registered ids.

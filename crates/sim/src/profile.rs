@@ -7,25 +7,14 @@
 //! nothing — the guards stay in the source as documentation of the phase
 //! boundaries.
 //!
-//! The throughput benchmark (`bench_sim_throughput --profile`, built with
-//! `--features profile`) prints the table after each measured run; there is
-//! no sampling profiler in the container, so this is the supported way to
-//! see where sweep time goes.
+//! `run_workload` (built with `-p earlyreg-experiments --features profile`)
+//! prints the table after its statistics; there is no sampling profiler in
+//! the container, so this is the supported way to see where the five
+//! pipeline phases spend their time.
 
 /// Profiling entry points; see the module docs.
 pub mod prof {
-    /// One row of the per-phase profile table, as structured data.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct PhaseRow {
-        /// Which phase this row describes.
-        pub phase: Phase,
-        /// Accumulated wall time in nanoseconds.
-        pub nanos: u64,
-        /// Number of scope entries.
-        pub calls: u64,
-    }
-    /// A pipeline phase being timed.  `TraceCapture` covers the one-off
-    /// emulator pass that records a [`DecodedTrace`](earlyreg_isa::DecodedTrace).
+    /// A pipeline phase being timed.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     #[repr(usize)]
     pub enum Phase {
@@ -39,12 +28,10 @@ pub mod prof {
         Rename,
         /// Fetch stage (prediction, icache, replay cursor).
         Fetch,
-        /// Decoded-trace capture (architectural emulator pass).
-        TraceCapture,
     }
 
     /// Number of phases (table size).
-    pub const PHASES: usize = 6;
+    pub const PHASES: usize = 5;
 
     impl Phase {
         /// Display label.
@@ -55,7 +42,6 @@ pub mod prof {
                 Phase::Issue => "issue",
                 Phase::Rename => "rename",
                 Phase::Fetch => "fetch",
-                Phase::TraceCapture => "trace-capture",
             }
         }
 
@@ -67,7 +53,6 @@ pub mod prof {
                 Phase::Issue,
                 Phase::Writeback,
                 Phase::Commit,
-                Phase::TraceCapture,
             ]
         }
     }
@@ -119,24 +104,24 @@ pub mod prof {
             true
         }
 
-        /// Drain the per-phase table for this thread as structured rows
-        /// (display order) and reset it.
-        pub fn take_table() -> Vec<super::PhaseRow> {
-            let table = TABLE.with(|t| std::mem::take(&mut *t.borrow_mut()));
-            Phase::all()
-                .into_iter()
-                .map(|phase| super::PhaseRow {
-                    phase,
-                    nanos: table[phase as usize].nanos,
-                    calls: table[phase as usize].calls,
-                })
-                .collect()
-        }
-
         /// Render the per-phase table for this thread and reset it.
         pub fn take_report() -> String {
-            let rows = take_table();
-            super::render_rows(&rows)
+            let table = TABLE.with(|t| std::mem::take(&mut *t.borrow_mut()));
+            let total = table.iter().map(|acc| acc.nanos).sum::<u64>().max(1);
+            let mut out =
+                String::from("phase           time (ms)      share      calls    ns/call\n");
+            for phase in Phase::all() {
+                let Acc { nanos, calls } = table[phase as usize];
+                out.push_str(&format!(
+                    "{:<14} {:>10.2} {:>9.1}% {:>10} {:>10}\n",
+                    phase.name(),
+                    nanos as f64 / 1e6,
+                    nanos as f64 / total as f64 * 100.0,
+                    calls,
+                    nanos.checked_div(calls).unwrap_or(0),
+                ));
+            }
+            out
         }
     }
 
@@ -158,37 +143,13 @@ pub mod prof {
             false
         }
 
-        /// Empty table without the `profile` feature.
-        pub fn take_table() -> Vec<super::PhaseRow> {
-            Vec::new()
-        }
-
         /// Empty report without the `profile` feature.
         pub fn take_report() -> String {
             String::from("(profiling compiled out; rebuild with --features profile)\n")
         }
     }
 
-    /// Render structured rows as the human-readable table `take_report`
-    /// prints.
-    pub fn render_rows(rows: &[PhaseRow]) -> String {
-        let total: u64 = rows.iter().map(|r| r.nanos).sum::<u64>().max(1);
-        let mut out = String::from("phase           time (ms)      share      calls    ns/call\n");
-        for row in rows {
-            let per_call = row.nanos.checked_div(row.calls).unwrap_or(0);
-            out.push_str(&format!(
-                "{:<14} {:>10.2} {:>9.1}% {:>10} {:>10}\n",
-                row.phase.name(),
-                row.nanos as f64 / 1e6,
-                row.nanos as f64 / total as f64 * 100.0,
-                row.calls,
-                per_call,
-            ));
-        }
-        out
-    }
-
-    pub use imp::{enabled, scope, take_report, take_table, ScopeGuard};
+    pub use imp::{enabled, scope, take_report, ScopeGuard};
 }
 
 #[cfg(test)]
@@ -203,8 +164,9 @@ mod tests {
         let report = prof::take_report();
         assert!(!report.is_empty());
         if prof::enabled() {
-            assert!(report.contains("fetch"));
-            assert!(report.contains("trace-capture"));
+            for phase in prof::Phase::all() {
+                assert!(report.contains(phase.name()));
+            }
         }
     }
 }

@@ -76,10 +76,7 @@ pub fn decoded_trace_for(program: &Arc<Program>, min_steps: u64) -> Arc<DecodedT
     if let Some(trace) = lookup(&mut CACHE.lock().expect("trace cache poisoned")) {
         return trace;
     }
-    let fresh = {
-        let _t = crate::profile::prof::scope(crate::profile::prof::Phase::TraceCapture);
-        Arc::new(DecodedTrace::capture(program, min_steps))
-    };
+    let fresh = Arc::new(DecodedTrace::capture(program, min_steps));
     let mut cache = CACHE.lock().expect("trace cache poisoned");
     if let Some(trace) = lookup(&mut cache) {
         return trace; // a racing capture won; use its (identical) trace
