@@ -75,7 +75,11 @@ fn parse_args() -> Result<Options, String> {
                     .collect::<Result<_, _>>()?;
             }
             "--exception-interval" => {
-                opts.exception_interval = Some(parse_num(&value("--exception-interval")?)?);
+                let interval = parse_num(&value("--exception-interval")?)?;
+                if interval == 0 {
+                    return Err("--exception-interval must be at least 1".into());
+                }
+                opts.exception_interval = Some(interval);
             }
             "--fixture-out" => opts.fixture_out = PathBuf::from(value("--fixture-out")?),
             "--mutant" => opts.mutant = true,

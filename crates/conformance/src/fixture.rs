@@ -25,9 +25,10 @@ use std::sync::Arc;
 pub struct Fixture {
     /// What this fixture reproduces (free text, shown on failure).
     pub description: String,
-    /// Registry id of the policy the failure was found under ("conventional",
-    /// "oracle", ...).  Replays still cover every registered policy; this
-    /// records provenance and picks the policy for [`Fixture::check_origin`].
+    /// Id of the policy the failure was found under ("conv", "extended",
+    /// ...).  Replays cover every registered policy; this records provenance
+    /// and picks the policy for [`Fixture::check_origin`], which reports an
+    /// id that is no longer registered as an error.
     pub policy: String,
     /// Integer physical register file size of the failing machine.
     pub phys_int: usize,

@@ -35,7 +35,7 @@
 //!    (`stats.oracle_violations`, which compares every committed destination
 //!    value against the emulator inside the simulator) must both be clean.
 
-use earlyreg_core::{registry, ReleasePolicy, ReleaseScheme, SchemeSeed};
+use earlyreg_core::{registry, ReleasePolicy, ReleaseScheme};
 use earlyreg_isa::{ArchReg, Emulator, Program, RegClass};
 use earlyreg_sim::{verify_against_emulator, MachineConfig, Simulator, VerifyOutcome};
 use std::fmt;
@@ -182,7 +182,7 @@ pub fn check_program(
     config: &CheckConfig,
     program: &Arc<Program>,
 ) -> Result<CheckReport, Violation> {
-    check_with_seed(config, program, SchemeSeed::default())
+    check_with(config, program, None)
 }
 
 /// Check `program` with an injected scheme replacing the registry-built one.
@@ -193,20 +193,15 @@ pub fn check_with_scheme(
     program: &Arc<Program>,
     scheme: Box<dyn ReleaseScheme>,
 ) -> Result<CheckReport, Violation> {
-    check_with_seed(
-        config,
-        program,
-        SchemeSeed {
-            kill_plan: None,
-            scheme_override: Some(scheme),
-        },
-    )
+    check_with(config, program, Some(scheme))
 }
 
-fn check_with_seed(
+/// Run one lockstep check under `scheme`, or the registry's scheme for
+/// `config.policy` when `None`.
+fn check_with(
     config: &CheckConfig,
     program: &Arc<Program>,
-    seed: SchemeSeed,
+    scheme: Option<Box<dyn ReleaseScheme>>,
 ) -> Result<CheckReport, Violation> {
     let machine = config.machine();
     let program = Arc::clone(program);
@@ -214,7 +209,11 @@ fn check_with_seed(
     // panic the whole machine state is dropped and the failure is reported,
     // never reused.
     catch_unwind(AssertUnwindSafe(move || {
-        run_lockstep(machine, config.max_cycles, &program, seed)
+        let sim = match scheme {
+            Some(scheme) => Simulator::with_scheme(machine, Arc::clone(&program), scheme),
+            None => Simulator::new(machine, Arc::clone(&program)),
+        };
+        run_lockstep(sim, config.max_cycles, &program)
     }))
     .unwrap_or_else(|payload| {
         let msg = payload
@@ -227,12 +226,10 @@ fn check_with_seed(
 }
 
 fn run_lockstep(
-    machine: MachineConfig,
+    mut sim: Simulator,
     max_cycles: u64,
     program: &Arc<Program>,
-    seed: SchemeSeed,
 ) -> Result<CheckReport, Violation> {
-    let mut sim = Simulator::with_scheme_seed(machine, Arc::clone(program), seed);
     let mut emu = Emulator::new(program);
     let mut emu_committed: u64 = 0;
     // Memory words touched by the instructions committed this cycle.

@@ -20,7 +20,7 @@
 //! * [`fixture`] — minimized reproducers as JSON regression fixtures,
 //!   replayed in CI against every registered policy.
 //! * [`mutant`] — deliberately-broken schemes (injected via
-//!   `SchemeSeed::scheme_override`, never registered) proving the harness
+//!   `Simulator::with_scheme`, never registered) proving the harness
 //!   actually catches unsafe release behaviour.
 //! * [`test_support`] — the workspace-wide `PROPTEST_CASES` helper shared by
 //!   every property-test suite.

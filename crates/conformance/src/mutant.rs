@@ -1,12 +1,11 @@
 //! Deliberately-broken release schemes.
 //!
 //! A conformance suite that has never caught anything proves nothing.  The
-//! mutants here are injected through [`SchemeSeed::scheme_override`] — they
+//! mutants here are injected through
+//! [`Simulator::with_scheme`](earlyreg_sim::Simulator::with_scheme) — they
 //! are *not* registry entries, so experiments, caches and serving never see
 //! them — and the test suite asserts the harness catches them and that the
 //! minimizer shrinks the failure to a small reproducer.
-//!
-//! [`SchemeSeed::scheme_override`]: earlyreg_core::SchemeSeed
 
 use earlyreg_core::{DestPlan, DestQuery, ReleasePolicy, ReleaseScheme};
 
@@ -57,7 +56,6 @@ mod tests {
             pending_branches: 3,
             newest_branch: Some(InstrId(9)),
             reuse_on_committed_lu: false,
-            old_is_settled_arch: false,
         };
         assert_eq!(mutant.plan_dest(&query), DestPlan::ReleaseNow);
     }

@@ -18,8 +18,7 @@
 //!   above, including branch-misprediction and precise-exception recovery;
 //! * [`scheme`] — the open release-scheme layer: the
 //!   [`ReleaseScheme`](scheme::ReleaseScheme) trait every policy implements;
-//! * [`schemes`] — the built-in schemes (the paper's three plus the oracle
-//!   upper bound and a counter-based conservative scheme);
+//! * [`schemes`] — the built-in schemes, the paper's three;
 //! * [`registry`] — the string-keyed policy registry every layer above
 //!   enumerates instead of hard-coding policy lists;
 //! * [`stats`] — release/allocation accounting.
@@ -55,8 +54,8 @@ pub use regstate::{OccupancyTotals, OccupancyTracker};
 pub use release_queue::{ConfirmOutcome, RelQueLevel, ReleaseQueue};
 pub use rename::{CommitOutcome, RecoveryOutcome, ReleaseEvent, RenameUnit, RenamedInstr};
 pub use ros::{DstRename, RosBook, RosEntry};
-pub use scheme::{DestPlan, DestQuery, KillPlan, ReleaseScheme, SchemeSeed};
-pub use schemes::{BasicScheme, ConventionalScheme, CounterScheme, ExtendedScheme, OracleScheme};
+pub use scheme::{DestPlan, DestQuery, ReleaseScheme};
+pub use schemes::{BasicScheme, ConventionalScheme, ExtendedScheme};
 pub use stats::{ClassReleaseStats, ReleaseStats};
 pub use types::{
     InstrId, PhysReg, ReleasePolicy, ReleaseReason, RenameConfig, RenameStall, UseKind,

@@ -2,11 +2,11 @@
 //! policies exist, what they are called, and how to construct them.
 //!
 //! Every layer above the core — the experiment engine, `Scenario` files,
-//! the `earlyreg-exp` CLI, the `earlyreg-serve` JSON API, the throughput
-//! bench — enumerates policies from here instead of hard-coding a list,
-//! so registering a new scheme in this one table makes it reachable
-//! everywhere.  Paper figures plot the canonical three via
-//! [`PAPER_POLICIES`].
+//! the `earlyreg-exp` CLI, the `earlyreg-serve` JSON API — enumerates
+//! policies from here instead of hard-coding a list, so registering a new
+//! scheme in this one table makes it reachable everywhere.  The table holds
+//! exactly the paper's three schemes, which the figures plot in
+//! [`PAPER_POLICIES`] order.
 //!
 //! Registry ids flow verbatim into experiment cache keys (a policy
 //! serializes as its id string), so **adding** a scheme never invalidates
@@ -15,14 +15,12 @@
 //! variant-name → id migration itself did), and additionally breaks
 //! `ReleasePolicy`'s derived ordering; append only.
 
-use crate::scheme::{ReleaseScheme, SchemeSeed};
-use crate::schemes::{
-    BasicScheme, ConventionalScheme, CounterScheme, ExtendedScheme, OracleScheme,
-};
+use crate::scheme::ReleaseScheme;
+use crate::schemes::{BasicScheme, ConventionalScheme, ExtendedScheme};
 use crate::types::{ReleasePolicy, RenameConfig};
 
 /// Constructor signature of a registered scheme.
-pub type SchemeBuilder = fn(&RenameConfig, &SchemeSeed) -> Result<Box<dyn ReleaseScheme>, String>;
+pub type SchemeBuilder = fn(&RenameConfig) -> Box<dyn ReleaseScheme>;
 
 /// Everything the world needs to know about one registered scheme.
 pub struct PolicyDescriptor {
@@ -34,61 +32,31 @@ pub struct PolicyDescriptor {
     pub aliases: &'static [&'static str],
     /// One-line description (CLI `list`, `GET /experiments`).
     pub title: &'static str,
-    /// Member of the paper's canonical three-policy comparison.
-    pub paper: bool,
-    /// The scheme needs a committed-trace [`KillPlan`](crate::scheme::KillPlan)
-    /// in its [`SchemeSeed`]; the simulator derives one from the emulator
-    /// before building the rename unit.
-    pub needs_kill_plan: bool,
     /// Construct the scheme.
     pub build: SchemeBuilder,
 }
 
-static DESCRIPTORS: [PolicyDescriptor; 5] = [
+static DESCRIPTORS: [PolicyDescriptor; 3] = [
     PolicyDescriptor {
         policy: ReleasePolicy::Conventional,
         id: "conv",
         aliases: &["conventional"],
         title: "conventional release at redefinition commit (paper Section 2)",
-        paper: true,
-        needs_kill_plan: false,
-        build: |_, _| Ok(Box::new(ConventionalScheme)),
+        build: |_| Box::new(ConventionalScheme),
     },
     PolicyDescriptor {
         policy: ReleasePolicy::Basic,
         id: "basic",
         aliases: &[],
         title: "basic early release via the Last-Uses Table (paper Section 3)",
-        paper: true,
-        needs_kill_plan: false,
-        build: |_, _| Ok(Box::new(BasicScheme::new())),
+        build: |_| Box::new(BasicScheme::new()),
     },
     PolicyDescriptor {
         policy: ReleasePolicy::Extended,
         id: "extended",
         aliases: &["ext"],
         title: "extended early release with the Release Queue (paper Section 4)",
-        paper: true,
-        needs_kill_plan: false,
-        build: |config, _| Ok(Box::new(ExtendedScheme::new(config))),
-    },
-    PolicyDescriptor {
-        policy: ReleasePolicy::Oracle,
-        id: "oracle",
-        aliases: &["ideal"],
-        title: "oracle upper bound: release at the emulator-known true last use",
-        paper: false,
-        needs_kill_plan: true,
-        build: |_, seed| OracleScheme::new(seed).map(|s| Box::new(s) as Box<dyn ReleaseScheme>),
-    },
-    PolicyDescriptor {
-        policy: ReleasePolicy::Counter,
-        id: "counter",
-        aliases: &["unmap", "unmap-counter"],
-        title: "conservative counter-based release (no Last-Uses CAM, checkpoint-free)",
-        paper: false,
-        needs_kill_plan: false,
-        build: |config, _| Ok(Box::new(CounterScheme::new(config))),
+        build: |config| Box::new(ExtendedScheme::new(config)),
     },
 ];
 
@@ -131,13 +99,8 @@ pub fn parse(name: &str) -> Result<ReleasePolicy, String> {
 }
 
 /// Build the scheme for `policy`.
-pub fn build(
-    policy: ReleasePolicy,
-    config: &RenameConfig,
-    seed: &SchemeSeed,
-) -> Result<Box<dyn ReleaseScheme>, String> {
-    let descriptor = policy.descriptor();
-    (descriptor.build)(config, seed)
+pub fn build(policy: ReleasePolicy, config: &RenameConfig) -> Box<dyn ReleaseScheme> {
+    (policy.descriptor().build)(config)
 }
 
 #[cfg(test)]
@@ -160,8 +123,6 @@ mod tests {
         }
         assert_eq!(parse("CONVENTIONAL").unwrap(), ReleasePolicy::Conventional);
         assert_eq!(parse("ext").unwrap(), ReleasePolicy::Extended);
-        assert_eq!(parse("unmap-counter").unwrap(), ReleasePolicy::Counter);
-        assert_eq!(parse("ideal").unwrap(), ReleasePolicy::Oracle);
     }
 
     #[test]
@@ -173,36 +134,24 @@ mod tests {
     }
 
     #[test]
-    fn paper_policies_are_flagged_and_ordered() {
+    fn the_registry_holds_exactly_the_paper_policies() {
         assert_eq!(
             PAPER_POLICIES.map(|p| p.label()),
             ["conv", "basic", "extended"]
         );
-        for descriptor in descriptors() {
-            assert_eq!(
-                descriptor.paper,
-                PAPER_POLICIES.contains(&descriptor.policy),
-                "{}",
-                descriptor.id
-            );
-        }
+        assert_eq!(registered().collect::<Vec<_>>(), PAPER_POLICIES);
     }
 
     #[test]
-    fn every_schema_without_seed_needs_builds() {
+    fn every_scheme_builds_with_its_policy() {
         let config = RenameConfig::icpp02(ReleasePolicy::Extended, 48, 48);
-        let seed = SchemeSeed::default();
         for descriptor in descriptors() {
-            let built = build(descriptor.policy, &config, &seed);
             assert_eq!(
-                built.is_ok(),
-                !descriptor.needs_kill_plan,
-                "{}: seed-less build",
+                build(descriptor.policy, &config).policy(),
+                descriptor.policy,
+                "{}",
                 descriptor.id
             );
-            if let Ok(scheme) = built {
-                assert_eq!(scheme.policy(), descriptor.policy);
-            }
         }
     }
 }

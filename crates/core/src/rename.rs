@@ -22,9 +22,9 @@
 //!   releases in the [Release Queue](crate::release_queue::ReleaseQueue)
 //!   which are cancelled by mispredictions and performed at LU commit /
 //!   oldest-branch confirmation otherwise.
-//! * **Oracle** / **Counter** and any future scheme: see
-//!   [`crate::schemes`] and `docs/POLICIES.md` — they plug in here without
-//!   engine changes.
+//!
+//! A further scheme plugs in through [`crate::schemes`] and the registry
+//! without engine changes (see `docs/POLICIES.md`).
 //!
 //! The unit also deals with the two recovery mechanisms the paper requires:
 //! branch misprediction recovery through per-branch checkpoints of the Map
@@ -36,25 +36,22 @@
 //! The paper's Section 4.3 observes that after an early release the value
 //! "attached" to a logical register may be garbage, which is safe because the
 //! first use of that register on the committed path is guaranteed to be a
-//! write.  One consequence (implicit in the paper) is that a logical register
+//! write.  One consequence (implicit in the paper) is that after a precise
+//! exception restores the map from the In-Order Map Table, a logical register
 //! may map to a physical register that has already been handed back to the
-//! free list: after a precise exception restores the map from the In-Order
-//! Map Table, and — under oracle-style schemes that release *before* the
-//! redefinition is even decoded — in the speculative map itself.  The mapping
-//! is *stale*: it will never be read, but the next redefinition of that
-//! logical register must not release (or reuse) the stale register — it is
-//! no longer owned by this logical register.  The unit tracks this with a
-//! per-logical-register `skip_release` flag that is set during exception
-//! recovery (from the non-speculative `arch_released` flag) and when a
-//! scheme-requested commit release outruns the redefinition, checkpointed
-//! across branches, and consumed by the next redefinition.
+//! free list.  The mapping is *stale*: it will never be read, but the next
+//! redefinition of that logical register must not release (or reuse) the
+//! stale register — it is no longer owned by this logical register.  The unit
+//! tracks this with a per-logical-register `skip_release` flag that is set
+//! during exception recovery (from the non-speculative `arch_released`
+//! flag), journaled across branches, and consumed by the next redefinition.
 
 use crate::free_list::FreeList;
 use crate::map_table::MapTablePair;
 use crate::registry;
 use crate::regstate::{OccupancyTotals, OccupancyTracker};
 use crate::ros::{DstRename, RosBook, RosEntry};
-use crate::scheme::{DestPlan, DestQuery, ReleaseScheme, SchemeSeed};
+use crate::scheme::{DestPlan, DestQuery, ReleaseScheme};
 use crate::stats::ReleaseStats;
 use crate::types::{InstrId, PhysReg, ReleaseReason, RenameConfig, RenameStall, UseKind};
 use earlyreg_isa::{ArchReg, Instruction, RegClass};
@@ -88,8 +85,8 @@ pub struct RenamedInstr {
 /// Result of committing one instruction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommitOutcome {
-    /// Registers released by this commit (early bits, RwC0, scheme-requested
-    /// releases and/or the conventional `old_pd` release).
+    /// Registers released by this commit (early bits, RwC0 and/or the
+    /// conventional `old_pd` release).
     pub released: Vec<ReleaseEvent>,
 }
 
@@ -108,11 +105,10 @@ pub struct RecoveryOutcome {
 ///
 /// Checkpoints are *journaled*, not copied: a checkpoint is just a position
 /// in the undo journal.  Rolling back to a branch replays the journal suffix
-/// after its mark in reverse, then re-derives the stale-mapping flags for
-/// entries that name freed registers (see
-/// [`RenameUnit::recover_branch_mispredict`]).  This turns the per-branch
-/// cost from O(map size) copies into O(mutations actually made under the
-/// branch), which the profiler showed dominating the rename phase.
+/// after its mark in reverse (see [`RenameUnit::recover_branch_mispredict`]).
+/// This turns the per-branch cost from O(map size) copies into O(mutations
+/// actually made under the branch), which the profiler showed dominating the
+/// rename phase.
 #[derive(Debug, Clone, Copy)]
 struct Checkpoint {
     branch_id: InstrId,
@@ -122,13 +118,8 @@ struct Checkpoint {
     mark: u64,
 }
 
-/// One undoable speculative mutation, recorded while at least one branch
-/// checkpoint is live.  `Map`/`SkipConsumed` restore rename-time mutations;
-/// `PatchRelease` records a commit-time scheme release performed under a
-/// live checkpoint (it restores nothing at rollback — the freed register is
-/// re-flagged by the rollback coherence scan — but lets
-/// [`RenameUnit::check_checkpoint_coherence`] reconstruct which checkpoint
-/// states legitimately name a freed register).
+/// One undoable rename-time mutation, recorded while at least one branch
+/// checkpoint is live.
 #[derive(Debug, Clone, Copy)]
 enum JournalEntry {
     /// The speculative map of `reg` was redirected away from `old`.
@@ -136,9 +127,6 @@ enum JournalEntry {
     /// The stale-mapping flag of `reg` was consumed (true → false) by its
     /// redefinition.
     SkipConsumed { reg: ArchReg },
-    /// `phys` was released by a commit-time scheme release while this
-    /// journal position was live.
-    PatchRelease { class: RegClass, phys: PhysReg },
 }
 
 /// Per-class rename state.
@@ -178,7 +166,6 @@ impl Bank {
 #[derive(Debug, Clone)]
 pub struct RenameUnit {
     config: RenameConfig,
-    trace_enabled: bool,
     next_id: u64,
     banks: [Bank; 2],
     book: RosBook,
@@ -192,7 +179,6 @@ pub struct RenameUnit {
     recovery: RecoveryOutcome,
     resolve_released: Vec<ReleaseEvent>,
     squash_scratch: Vec<RosEntry>,
-    scheme_releases: Vec<(RegClass, PhysReg)>,
     confirm_release_now: Vec<(RegClass, PhysReg)>,
     confirm_to_rwc0: Vec<(InstrId, u8)>,
     /// Undo journal for speculative mutations made while ≥1 checkpoint is
@@ -206,32 +192,33 @@ pub struct RenameUnit {
 impl RenameUnit {
     /// Create a rename unit in the reset state: logical register `i` of each
     /// class maps to physical register `i`, everything else is free.  The
-    /// release scheme is built from the policy registry with an empty
-    /// [`SchemeSeed`]; use [`RenameUnit::with_seed`] for schemes that need
-    /// construction data (the registry descriptor's `needs_kill_plan` says
-    /// which).
+    /// release scheme is built from the policy registry.
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see
-    /// [`RenameConfig::validate`]) or the scheme cannot be built.
+    /// [`RenameConfig::validate`]).
     pub fn new(config: RenameConfig) -> Self {
-        Self::with_seed(config, SchemeSeed::default())
+        Self::build(config, |config| registry::build(config.policy, config))
     }
 
-    /// As [`RenameUnit::new`], with explicit scheme construction data.  A
-    /// [`SchemeSeed::scheme_override`] bypasses the registry entirely (a
-    /// test-only path used by the conformance harness).
-    pub fn with_seed(config: RenameConfig, seed: SchemeSeed) -> Self {
+    /// As [`RenameUnit::new`], driven by `scheme` instead of the registry's.
+    /// The conformance harness injects deliberately-broken mutant schemes
+    /// through it; `config.policy` is then only a label.
+    pub fn with_scheme(config: RenameConfig, scheme: Box<dyn ReleaseScheme>) -> Self {
+        Self::build(config, |_| scheme)
+    }
+
+    /// Validate `config`, then build the unit around the scheme `scheme`
+    /// returns (sized for a configuration known to be valid).
+    fn build(
+        config: RenameConfig,
+        scheme: impl FnOnce(&RenameConfig) -> Box<dyn ReleaseScheme>,
+    ) -> Self {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid rename configuration: {e}"));
-        let scheme = match seed.scheme_override {
-            Some(ref scheme) => scheme.box_clone(),
-            None => registry::build(config.policy, &config, &seed)
-                .unwrap_or_else(|e| panic!("cannot build release scheme '{}': {e}", config.policy)),
-        };
+        let scheme = scheme(&config);
         RenameUnit {
-            trace_enabled: std::env::var_os("EARLYREG_TRACE").is_some(),
             next_id: 0,
             banks: [
                 Bank::new(RegClass::Int, config.phys_int),
@@ -245,7 +232,6 @@ impl RenameUnit {
             recovery: RecoveryOutcome::default(),
             resolve_released: Vec::new(),
             squash_scratch: Vec::new(),
-            scheme_releases: Vec::new(),
             confirm_release_now: Vec::new(),
             confirm_to_rwc0: Vec::new(),
             journal: Vec::new(),
@@ -304,16 +290,6 @@ impl RenameUnit {
     /// Release/allocation accounting.
     pub fn stats(&self) -> &ReleaseStats {
         &self.stats
-    }
-
-    /// Emit a rename/release event when the `EARLYREG_TRACE` environment
-    /// variable is set (a debugging aid; the flag is sampled once at
-    /// construction).  The message is built lazily so tracing costs nothing
-    /// when disabled.
-    fn trace(&self, msg: impl FnOnce() -> String) {
-        if self.trace_enabled {
-            eprintln!("TRACE {}", msg());
-        }
     }
 
     /// Occupancy (Empty/Ready/Idle) totals for one class as of `now`.
@@ -378,8 +354,8 @@ impl RenameUnit {
     // ------------------------------------------------------------------
 
     /// Plan the destination handling for `instr`, with no side effects.
-    /// Stale (post-exception / post-oracle-release) mappings are resolved by
-    /// the engine before the scheme is consulted.
+    /// Stale (post-exception) mappings are resolved by the engine before the
+    /// scheme is consulted.
     fn plan_dest(&self, instr: &Instruction, dst: ArchReg) -> DestPlan {
         let bank = self.bank(dst.class());
         if bank.skip_release[dst.index()] {
@@ -407,9 +383,6 @@ impl RenameUnit {
             // the youngest pending branch.
             newest_branch: self.checkpoints.back().map(|c| c.branch_id),
             reuse_on_committed_lu: self.config.reuse_on_committed_lu,
-            old_is_settled_arch: bank.maps.retire.get(dst) == old_pd
-                && !bank.arch_released[dst.index()]
-                && !bank.arch_clobbered[dst.index()],
         };
         self.scheme.plan_dest(&query)
     }
@@ -463,8 +436,7 @@ impl RenameUnit {
         let src2 = instr.src2.map(|r| (r, self.mapping(r)));
 
         // Renaming 1 (sources): let the scheme track the source uses (the
-        // Last-Uses Table's "Renaming 1" step, the counter scheme's reader
-        // counts, ...).
+        // Last-Uses Table's "Renaming 1" step).
         if let Some((r, p)) = src1 {
             self.scheme.record_use(r, p, id, UseKind::Src1);
         }
@@ -584,12 +556,6 @@ impl RenameUnit {
                     }
                 }
             };
-            self.trace(|| {
-                format!(
-                    "cycle {cycle} RENAME {id} dst {dst} plan {plan:?} old {old_pd} new {} reused {}",
-                    renamed.phys, renamed.reused
-                )
-            });
             // Redirect the map to the new version and record the destination
             // use (the new version's provisional last use is its own
             // producer — the Figure 4.b case).
@@ -638,7 +604,6 @@ impl RenameUnit {
             .expect("allocation availability was checked before side effects");
         bank.occupancy.on_allocate(phys, cycle);
         self.stats.class_mut(class).allocations += 1;
-        self.trace(|| format!("cycle {cycle} ALLOC {class} {phys}"));
         phys
     }
 
@@ -662,7 +627,6 @@ impl RenameUnit {
         bank.free.release(phys);
         bank.occupancy.on_release(phys, cycle, reason);
         self.stats.class_mut(class).record_release(reason);
-        self.trace(|| format!("cycle {cycle} FREE {class} {phys} reason {reason:?}"));
     }
 
     // ------------------------------------------------------------------
@@ -697,12 +661,6 @@ impl RenameUnit {
                 d.phys
             );
         }
-        self.trace(|| {
-            format!(
-                "cycle {cycle} COMMIT {id} rel {:?} rel_old {} dst {:?}",
-                entry.rel, entry.rel_old, entry.dst
-            )
-        });
         let mut released = std::mem::take(&mut self.commit_outcome.released);
         released.clear();
 
@@ -729,41 +687,9 @@ impl RenameUnit {
         }
 
         // Scheme commit step: Last-Uses `C` bits (applied to every
-        // checkpoint copy, Section 3.2), Release Queue RwC→RwNS moves
-        // (extended Step 5), reader-counter decrements, and — for
-        // oracle-style schemes — the registers whose true last use commits
-        // here.
-        let mut scheme_releases = std::mem::take(&mut self.scheme_releases);
-        scheme_releases.clear();
-        self.scheme.on_commit(&entry, &mut scheme_releases);
-        for &(class, phys) in &scheme_releases {
-            self.free_register(class, phys, cycle, ReleaseReason::EarlyAtLuCommit);
-            released.push(ReleaseEvent {
-                class,
-                phys,
-                reason: ReleaseReason::EarlyAtLuCommit,
-            });
-            // A scheme release can outrun the redefinition entirely (the
-            // oracle frees at the true last use, which may commit before the
-            // redefinition is decoded).  Any speculative map entry still
-            // naming the freed register is now stale: flag it so the
-            // eventual redefinition neither releases nor reuses it.  *Every*
-            // matching entry must be flagged: once a stale mapping to a
-            // recycled register coexists with the live one, flagging only
-            // the first match would leave the live mapping unprotected.
-            // Checkpointed states need no eager patching: a misprediction
-            // rollback re-derives the flags for freed registers (the
-            // coherence scan in `recover_branch_mispredict`) — the journal
-            // only records that the release happened under a live
-            // checkpoint, so the coherence probe can tell a legitimate
-            // scheme release from a corrupting one.
-            let bank = self.bank_mut(class);
-            let (maps, skip_release) = (&bank.maps, &mut bank.skip_release);
-            maps.front
-                .for_each_logical_of(phys, |r| skip_release[r.index()] = true);
-            self.journal_push(JournalEntry::PatchRelease { class, phys });
-        }
-        self.scheme_releases = scheme_releases;
+        // checkpoint copy, Section 3.2) and Release Queue RwC→RwNS moves
+        // (extended Step 5).
+        self.scheme.on_commit(&entry);
 
         // Early-release bits (rel1/rel2/reld — RwC0 in the extended scheme).
         for kind in UseKind::ALL {
@@ -856,7 +782,6 @@ impl RenameUnit {
     /// checkpoint.  The returned outcome borrows a buffer reused by the next
     /// recovery.
     pub fn recover_branch_mispredict(&mut self, id: InstrId, cycle: u64) -> &RecoveryOutcome {
-        self.trace(|| format!("cycle {cycle} MISPREDICT {id}"));
         let mut squashed = std::mem::take(&mut self.squash_scratch);
         self.book.squash_after_into(id, false, &mut squashed);
         let mut freed = std::mem::take(&mut self.recovery.freed);
@@ -891,46 +816,18 @@ impl RenameUnit {
         let cp = self.checkpoints.pop_back().expect("checkpoint exists");
         // Undo the journal suffix recorded at or after the branch's mark, in
         // reverse: map redirects roll back to the old version, consumed
-        // stale-mapping flags are re-armed.  Commit-time release records
-        // restore nothing — the commits themselves are not speculative — and
-        // for the same reason they must *survive* the rollback: older
-        // checkpoints still need to know the release happened, so they are
-        // re-appended at the new journal end (which every surviving
-        // checkpoint's mark is at or below).
-        let mut surviving_patches: Vec<JournalEntry> = Vec::new();
+        // stale-mapping flags are re-armed.
         while self.journal_end() > cp.mark {
-            let entry = self.journal.pop().expect("journal reaches every mark");
-            match entry {
+            match self.journal.pop().expect("journal reaches every mark") {
                 JournalEntry::Map { reg, old } => {
                     self.banks[reg.class().index()].maps.front.set(reg, old);
                 }
                 JournalEntry::SkipConsumed { reg } => {
                     self.banks[reg.class().index()].skip_release[reg.index()] = true;
                 }
-                JournalEntry::PatchRelease { .. } => surviving_patches.push(entry),
             }
-        }
-        if !self.checkpoints.is_empty() {
-            self.journal.extend(surviving_patches.into_iter().rev());
         }
         self.compact_journal();
-        // Coherence scan: re-derive the stale-mapping flags the eager
-        // checkpoint copies used to carry.  Any restored map entry naming a
-        // register now on the free list is stale — either it was released
-        // under the branch (journal records the release) or its flag had
-        // been consumed on the wrong path.  A register released early and
-        // *reallocated* cannot appear here unflagged: the reallocating
-        // instruction is younger than the branch and was just squash-freed,
-        // so the register is back on the free list.
-        for class in RegClass::ALL {
-            let bank = &mut self.banks[class.index()];
-            let (free, maps, skip_release) = (&bank.free, &bank.maps, &mut bank.skip_release);
-            for (reg, phys) in maps.front.iter() {
-                if free.contains(phys) {
-                    skip_release[reg.index()] = true;
-                }
-            }
-        }
 
         self.scheme.on_branch_mispredict(id);
         #[cfg(debug_assertions)]
@@ -1017,18 +914,15 @@ impl RenameUnit {
 
     /// Checkpoint-coherence probe: every *checkpointed* map entry that names
     /// a register currently on the free list must carry that checkpoint's
-    /// stale-mapping flag or a journal record explaining the release —
-    /// otherwise a misprediction rollback to it would resurrect a released
-    /// register as a live mapping.  This extends the front-map check in
-    /// [`RenameUnit::check_invariants`] to the whole checkpoint stack.
+    /// stale-mapping flag — otherwise a misprediction rollback to it would
+    /// resurrect a released register as a live mapping.  This extends the
+    /// front-map check in [`RenameUnit::check_invariants`] to the whole
+    /// checkpoint stack.
     ///
     /// Checkpoints are journal marks, so the probe reconstructs each
     /// checkpoint's map/flag state by replaying the undo journal backwards
     /// from the current state (pull-based: the reconstruction only costs
-    /// anything when the probe is called).  A `PatchRelease` record seen
-    /// while walking towards a checkpoint's mark proves every checkpoint at
-    /// or before that position legitimately names the freed register — the
-    /// rollback coherence scan will re-flag it.
+    /// anything when the probe is called).
     pub fn check_checkpoint_coherence(&self) -> Result<(), String> {
         // Structural validity of the journal/checkpoint relationship.
         if !self.journal.is_empty() && self.checkpoints.is_empty() {
@@ -1053,8 +947,7 @@ impl RenameUnit {
         }
 
         // Reconstruct checkpoint states youngest-first by undoing the
-        // journal, collecting the commit-time releases performed while each
-        // checkpoint was live.
+        // journal.
         let mut maps: [Vec<PhysReg>; 2] = [
             self.banks[0].maps.front.mapped_physical().collect(),
             self.banks[1].maps.front.mapped_physical().collect(),
@@ -1063,7 +956,6 @@ impl RenameUnit {
             self.banks[0].skip_release.clone(),
             self.banks[1].skip_release.clone(),
         ];
-        let mut patched: [Vec<PhysReg>; 2] = [Vec::new(), Vec::new()];
         let mut pos = end;
         for cp in self.checkpoints.iter().rev() {
             while pos > cp.mark {
@@ -1075,18 +967,12 @@ impl RenameUnit {
                     JournalEntry::SkipConsumed { reg } => {
                         skips[reg.class().index()][reg.index()] = true;
                     }
-                    JournalEntry::PatchRelease { class, phys } => {
-                        patched[class.index()].push(phys);
-                    }
                 }
             }
             for class in RegClass::ALL {
                 let free = &self.bank(class).free;
                 for (i, &phys) in maps[class.index()].iter().enumerate() {
-                    if free.contains(phys)
-                        && !skips[class.index()][i]
-                        && !patched[class.index()].contains(&phys)
-                    {
+                    if free.contains(phys) && !skips[class.index()][i] {
                         return Err(format!(
                             "checkpoint of branch {}: map of {} points to free register \
                              {phys} without a stale-mapping flag",

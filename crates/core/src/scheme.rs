@@ -22,11 +22,9 @@
 //!   then `record_use` for the destination, then — for conditional branches —
 //!   [`ReleaseScheme::on_branch_renamed`] after the engine captured its own
 //!   map checkpoint.
-//! * `commit` — [`ReleaseScheme::on_commit`]; releases the scheme requests
-//!   are performed by the engine with reason
-//!   [`ReleaseReason::EarlyAtLuCommit`](crate::types::ReleaseReason), and any
-//!   speculative (or checkpointed) map entry still naming a freed register is
-//!   flagged stale so the eventual redefinition skips it.
+//! * `commit` — [`ReleaseScheme::on_commit`] updates scheme state (Last-Uses
+//!   `C` bits, Release Queue RwC→RwNS moves); the engine then performs the
+//!   committing entry's early-release bits and conventional release.
 //! * `branch verified correct` — [`ReleaseScheme::on_branch_correct`]; the
 //!   engine frees the returned `release_now` set (reason `BranchConfirm`) and
 //!   ORs the returned `to_rwc0` masks into the early-release bits of the
@@ -40,9 +38,8 @@
 
 use crate::ros::RosEntry;
 use crate::types::{InstrId, PhysReg, ReleasePolicy, UseKind};
-use earlyreg_isa::{ArchReg, Emulator, Program, RegClass};
+use earlyreg_isa::{ArchReg, RegClass};
 use std::fmt;
-use std::sync::Arc;
 
 /// How the destination of a redefinition will be handled — the scheme's
 /// answer to [`ReleaseScheme::plan_dest`].
@@ -57,8 +54,9 @@ pub enum DestPlan {
         fallback: bool,
     },
     /// Allocate a new register and leave the previous version entirely
-    /// alone — the scheme releases it through another path (or it is a stale
-    /// post-exception mapping the engine already flagged).
+    /// alone.  The engine plans this itself for a stale post-exception
+    /// mapping (already released); a scheme may return it for a previous
+    /// version it releases through another path.
     AllocOnly,
     /// The instruction reads its own destination register: it is the last
     /// use of the previous version, released at its own commit through the
@@ -129,11 +127,6 @@ pub struct DestQuery {
     pub newest_branch: Option<InstrId>,
     /// The engine's Section 3.2 register-reuse knob.
     pub reuse_on_committed_lu: bool,
-    /// True when the previous version is *settled architectural state*: the
-    /// speculative and in-order maps agree on `old_pd`, and it is neither
-    /// released-early nor clobbered-by-reuse.  This is what a counter-based
-    /// scheme can verify without a Last-Uses CAM.
-    pub old_is_settled_arch: bool,
 }
 
 /// A pluggable register release scheme (see the module docs for the hook
@@ -177,11 +170,11 @@ pub trait ReleaseScheme: fmt::Debug + Send {
     /// state a misprediction of `branch_id` must restore.
     fn on_branch_renamed(&mut self, _branch_id: InstrId) {}
 
-    /// The oldest in-flight instruction is committing.  Push any physical
-    /// registers the scheme wants released *now* onto `releases`; the engine
-    /// frees them with reason `EarlyAtLuCommit` and handles stale-mapping
-    /// bookkeeping.
-    fn on_commit(&mut self, _entry: &RosEntry, _releases: &mut Vec<(RegClass, PhysReg)>) {}
+    /// The oldest in-flight instruction is committing: update the scheme
+    /// state its commit settles.  Releases happen through the entry's
+    /// early-release bits and `rel_old`, which the engine performs after
+    /// this hook.
+    fn on_commit(&mut self, _entry: &RosEntry) {}
 
     /// Branch `branch_id` was verified correct: drop its scheme checkpoint.
     /// Append registers to release right now to `release_now` and
@@ -228,207 +221,5 @@ pub trait ReleaseScheme: fmt::Debug + Send {
 impl Clone for Box<dyn ReleaseScheme> {
     fn clone(&self) -> Self {
         self.box_clone()
-    }
-}
-
-/// Construction-time data a scheme may need beyond the
-/// [`RenameConfig`](crate::types::RenameConfig).  Today that is the oracle's
-/// [`KillPlan`]; the seed is extensible without touching scheme call sites.
-#[derive(Debug, Clone, Default)]
-pub struct SchemeSeed {
-    /// The committed-stream last-use plan (required by schemes whose
-    /// descriptor sets `needs_kill_plan`; the simulator derives it from the
-    /// architectural emulator).
-    pub kill_plan: Option<Arc<KillPlan>>,
-    /// Test-only injection point: when set, the rename unit uses this scheme
-    /// directly instead of building one from the registry.  The conformance
-    /// harness injects deliberately-broken mutant schemes through it to prove
-    /// the differential checks catch unsafe release behaviour; production
-    /// paths (experiments, serving) never set it, so registry ids and cache
-    /// keys are unaffected.
-    pub scheme_override: Option<Box<dyn ReleaseScheme>>,
-}
-
-/// One future-knowledge release event: at committed-instruction position
-/// `pos`, the live version of logical register (`fp`, `reg`) dies.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Kill {
-    /// Commit position (index into the committed instruction stream).
-    pos: u32,
-    /// Logical register index within its class.
-    reg: u8,
-    /// Register class (false = integer, true = FP).
-    fp: bool,
-    /// True when the dying version is the one *defined at* `pos` (a value
-    /// that is never read, paper Figure 4.b); false when `pos` is its last
-    /// read (the version to release is the pre-commit architectural one).
-    own_def: bool,
-}
-
-/// The oracle's future knowledge: for every committed-instruction position,
-/// which logical-register versions see their true last use there.
-///
-/// Built by running the architectural [`Emulator`] over the program — the
-/// out-of-order simulator commits exactly the emulator's instruction stream
-/// (wrong paths are squashed, exceptions re-execute), so commit position `k`
-/// in the simulator is emulator step `k`.  A version defined at position `d`
-/// (or the initial architectural mapping, `d = -1`) dies at its last read
-/// before the next redefinition, at `d` itself if it is never read, or at
-/// position 0 for never-read initial mappings.  Versions never redefined
-/// within the trace are conservatively kept alive.
-#[derive(Debug)]
-pub struct KillPlan {
-    kills: Vec<Kill>,
-}
-
-impl KillPlan {
-    /// Hard cap on the emulated trace length (programs must halt within it).
-    pub const MAX_TRACE: u64 = 1 << 26;
-
-    /// Build the plan for `program` by running the architectural emulator to
-    /// halt.  Fails if the program does not halt within
-    /// [`KillPlan::MAX_TRACE`] instructions — an oracle needs the complete
-    /// future.
-    pub fn for_program(program: &Program) -> Result<KillPlan, String> {
-        #[derive(Clone, Copy)]
-        struct RegState {
-            /// Position of the live version's definition (-1 = initial).
-            def: i64,
-            /// Last read of the live version, if any.
-            last_read: Option<u32>,
-        }
-        let reset = RegState {
-            def: -1,
-            last_read: None,
-        };
-        let mut state: [Vec<RegState>; 2] = [
-            vec![reset; RegClass::Int.num_logical()],
-            vec![reset; RegClass::Fp.num_logical()],
-        ];
-        let mut kills: Vec<Kill> = Vec::new();
-        let mut emu = Emulator::new(program);
-        let mut pos: u32 = 0;
-        loop {
-            if emu.halted() {
-                break;
-            }
-            if u64::from(pos) >= Self::MAX_TRACE {
-                return Err(format!(
-                    "program '{}' did not halt within {} instructions; the oracle \
-                     release scheme needs the complete committed trace",
-                    program.name,
-                    Self::MAX_TRACE
-                ));
-            }
-            let instr = *program
-                .fetch(emu.pc())
-                .ok_or_else(|| "emulator ran off the end of the program".to_string())?;
-            // Reads first: an instruction reading its own destination reads
-            // the previous version.
-            for src in [instr.src1, instr.src2].into_iter().flatten() {
-                state[src.class().index()][src.index()].last_read = Some(pos);
-            }
-            if let Some(dst) = instr.dst {
-                let slot = &mut state[dst.class().index()][dst.index()];
-                let (kill_pos, own_def) = match (slot.def, slot.last_read) {
-                    // Read since its definition: dies at that last read.
-                    (_, Some(read)) => (read, false),
-                    // Defined in the trace, never read: dies at its own
-                    // definition's commit.
-                    (def, None) if def >= 0 => (def as u32, true),
-                    // Never-read initial mapping: dead from the start;
-                    // anchor the release to the first commit.
-                    (_, None) => (0, false),
-                };
-                kills.push(Kill {
-                    pos: kill_pos,
-                    reg: dst.index() as u8,
-                    fp: dst.class() == RegClass::Fp,
-                    own_def,
-                });
-                *slot = RegState {
-                    def: i64::from(pos),
-                    last_read: None,
-                };
-            }
-            if emu.step().is_none() {
-                break;
-            }
-            pos += 1;
-        }
-        // Kills are discovered at redefinition time; replay them in commit
-        // order.  The sort is stable, so same-position events keep their
-        // deterministic discovery order.
-        kills.sort_by_key(|k| k.pos);
-        Ok(KillPlan { kills })
-    }
-
-    /// Build the plan from a [`DecodedTrace`](earlyreg_isa::DecodedTrace)
-    /// captured to halt.  The trace records the same commit-ordered kill
-    /// events [`KillPlan::for_program`] derives, so sweeps that replay a
-    /// shared trace pay **one** emulator pass per program for both the
-    /// replay front-end and oracle-style schemes.  Fails on a budget-capped
-    /// trace — an oracle needs the complete future.
-    pub fn from_trace(trace: &earlyreg_isa::DecodedTrace) -> Result<KillPlan, String> {
-        if !trace.halted() {
-            return Err(
-                "decoded trace does not cover the complete execution; the oracle \
-                 release scheme needs the complete committed trace"
-                    .into(),
-            );
-        }
-        let kills = trace
-            .kill_events()
-            .iter()
-            .map(|e| Kill {
-                pos: e.pos,
-                reg: e.reg.index() as u8,
-                fp: e.reg.class() == RegClass::Fp,
-                own_def: e.own_def,
-            })
-            .collect();
-        Ok(KillPlan { kills })
-    }
-
-    /// Total release events in the plan.
-    pub fn len(&self) -> usize {
-        self.kills.len()
-    }
-
-    /// True when the plan schedules no releases.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty()
-    }
-
-    /// The events at commit position `pos`, starting the scan at `cursor`
-    /// (events are position-sorted; the caller advances the cursor
-    /// monotonically).  Returns the new cursor and the matching range.
-    pub(crate) fn at(&self, cursor: usize, pos: u64) -> (usize, &[Kill]) {
-        let start = cursor;
-        let mut end = cursor;
-        while end < self.kills.len() && u64::from(self.kills[end].pos) <= pos {
-            debug_assert_eq!(
-                u64::from(self.kills[end].pos),
-                pos,
-                "kill positions must be consumed in commit order"
-            );
-            end += 1;
-        }
-        (end, &self.kills[start..end])
-    }
-}
-
-impl Kill {
-    /// The logical register this event kills a version of.
-    pub(crate) fn reg(&self) -> ArchReg {
-        ArchReg::new(
-            if self.fp { RegClass::Fp } else { RegClass::Int },
-            self.reg as usize,
-        )
-    }
-
-    /// See [`Kill::own_def`].
-    pub(crate) fn own_def(&self) -> bool {
-        self.own_def
     }
 }

@@ -75,7 +75,7 @@ impl ReleaseScheme for ExtendedScheme {
         self.relque.push_level(branch_id);
     }
 
-    fn on_commit(&mut self, entry: &RosEntry, _releases: &mut Vec<(RegClass, PhysReg)>) {
+    fn on_commit(&mut self, entry: &RosEntry) {
         for &(arch, _) in entry.srcs.iter().flatten() {
             self.lus.mark_committed(arch, entry.id);
         }

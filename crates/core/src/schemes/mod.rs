@@ -4,19 +4,14 @@
 //! implementation; the [registry](crate::registry) wires them to their
 //! string ids.  `conventional`, `basic` and `extended` reproduce the paper's
 //! three mechanisms bit-identically to the pre-refactor hard-wired engine
-//! (pinned by `tests/stats_equivalence.rs`); `oracle` and `counter` are the
-//! proof that the layer is open — neither required an engine change.
+//! (pinned by `tests/stats_equivalence.rs`).
 
 pub mod basic;
 pub mod conventional;
-pub mod counter;
 pub mod extended;
-pub mod oracle;
 
 mod lus;
 
 pub use basic::BasicScheme;
 pub use conventional::ConventionalScheme;
-pub use counter::CounterScheme;
 pub use extended::ExtendedScheme;
-pub use oracle::OracleScheme;

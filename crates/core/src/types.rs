@@ -81,17 +81,15 @@ impl UseKind {
 /// A register release scheme, identified by its slot in the policy
 /// [registry](crate::registry).
 ///
-/// This used to be a closed three-variant enum (conventional / basic /
-/// extended); it is now an opaque handle into the registry so that new
-/// schemes plug in without touching the engine, the experiment harness or
-/// the serving layer.  The canonical paper schemes remain available as the
-/// associated constants [`ReleasePolicy::Conventional`],
-/// [`ReleasePolicy::Basic`] and [`ReleasePolicy::Extended`]; the full set is
-/// enumerated by [`crate::registry::registered`].
+/// An opaque handle into the registry, so a scheme plugs in without
+/// touching the engine, the experiment harness or the serving layer.  The
+/// registered schemes are the paper's three, available as the associated
+/// constants [`ReleasePolicy::Conventional`], [`ReleasePolicy::Basic`] and
+/// [`ReleasePolicy::Extended`] and enumerated by
+/// [`crate::registry::registered`].
 ///
-/// `Ord` follows registry order — the paper's three schemes first, in the
-/// order the figures plot them — and gives experiment sweeps a deterministic
-/// point ordering.
+/// `Ord` follows registry order — the order the figures plot the schemes —
+/// and gives experiment sweeps a deterministic point ordering.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ReleasePolicy(pub(crate) u8);
 
@@ -112,15 +110,6 @@ impl ReleasePolicy {
     /// commit / oldest-branch confirmation otherwise.  The conventional
     /// `old_pd`/`rel_old` path is removed entirely.
     pub const Extended: ReleasePolicy = ReleasePolicy(2);
-    /// Oracle upper bound: every physical register is released at the commit
-    /// of its true last use, known ahead of time from the architectural
-    /// emulator — the ideal-release curve the paper motivates against.
-    pub const Oracle: ReleasePolicy = ReleasePolicy(3);
-    /// Conservative counter-based release (no Last-Uses CAM, no per-branch
-    /// scheme checkpoints): per-register in-flight-reader counters allow an
-    /// immediate release/reuse at redefinition decode when the previous
-    /// version is settled; everything else falls back to conventional.
-    pub const Counter: ReleasePolicy = ReleasePolicy(4);
 
     /// Registry slot of this policy.
     #[inline]
@@ -134,7 +123,7 @@ impl ReleasePolicy {
     }
 
     /// Stable id used in reports, cache keys, scenario files and the JSON
-    /// API ("conv", "basic", "extended", "oracle", "counter").
+    /// API ("conv", "basic", "extended").
     pub fn label(self) -> &'static str {
         self.descriptor().id
     }
@@ -355,21 +344,18 @@ mod tests {
         assert_eq!(ReleasePolicy::Conventional.label(), "conv");
         assert_eq!(ReleasePolicy::Basic.label(), "basic");
         assert_eq!(ReleasePolicy::Extended.label(), "extended");
-        assert_eq!(ReleasePolicy::Oracle.label(), "oracle");
-        assert_eq!(ReleasePolicy::Counter.label(), "counter");
-        // Registry order keeps the paper's plot order for the paper three.
+        // Registry order is the paper's plot order.
         assert!(ReleasePolicy::Conventional < ReleasePolicy::Basic);
         assert!(ReleasePolicy::Basic < ReleasePolicy::Extended);
-        assert!(ReleasePolicy::Extended < ReleasePolicy::Oracle);
     }
 
     #[test]
     fn policy_serializes_as_its_id() {
         use serde::Serialize as _;
-        let v = ReleasePolicy::Oracle.to_value();
-        assert_eq!(v.as_str(), Some("oracle"));
+        let v = ReleasePolicy::Extended.to_value();
+        assert_eq!(v.as_str(), Some("extended"));
         let back: ReleasePolicy = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, ReleasePolicy::Oracle);
+        assert_eq!(back, ReleasePolicy::Extended);
         let bad: Result<ReleasePolicy, _> =
             serde::Deserialize::from_value(&serde::value::Value::Str("bogus".to_string()));
         assert!(bad.is_err());

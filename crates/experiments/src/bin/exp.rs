@@ -69,9 +69,8 @@ fn list() {
     let width = descriptors.iter().map(|d| d.id.len()).max().unwrap_or(0);
     println!("policies:");
     for descriptor in descriptors {
-        let paper = if descriptor.paper { " [paper]" } else { "" };
         println!(
-            "  {:<width$}  {}{paper}",
+            "  {:<width$}  {}",
             descriptor.id,
             descriptor.title,
             width = width

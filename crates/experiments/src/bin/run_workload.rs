@@ -68,7 +68,11 @@ fn parse_args() -> Args {
                 })
             }
             "--max-instructions" => {
-                args.max_instructions = value().parse().unwrap_or_else(|_| usage())
+                args.max_instructions =
+                    ExperimentOptions::parse_budget(&value()).unwrap_or_else(|error| {
+                        eprintln!("{error}");
+                        usage()
+                    })
             }
             "--exception-interval" => {
                 args.exception_interval = Some(value().parse().unwrap_or_else(|_| usage()))

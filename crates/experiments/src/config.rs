@@ -59,9 +59,11 @@ impl ExperimentOptions {
 
     /// Parse a `--max-instructions` value.
     pub fn parse_budget(value: &str) -> Result<u64, String> {
-        value
-            .parse()
-            .map_err(|_| format!("invalid instruction budget '{value}'"))
+        match value.parse() {
+            Ok(0) => Err("instruction budget must be at least 1".into()),
+            Ok(budget) => Ok(budget),
+            Err(_) => Err(format!("invalid instruction budget '{value}'")),
+        }
     }
 
     /// Number of worker threads to actually use.
@@ -88,13 +90,13 @@ impl ExperimentOptions {
 /// lines (`#` comments allowed):
 ///
 /// ```text
-/// # A narrower machine with a short Release Queue, swept over four schemes.
+/// # A narrower machine with a short Release Queue, swept over two schemes.
 /// ros_size = 64
 /// lsq_size = 32
 /// memory_latency = 120
 /// max_pending_branches = 8
 /// sweep_sizes = 40,48,56,64,80
-/// policies = conv, basic, extended, oracle
+/// policies = conv, extended
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Scenario {
@@ -197,7 +199,7 @@ impl Scenario {
 
     /// The release policies the figure sweeps compare.  Defaults to the
     /// canonical paper three ([`earlyreg_core::PAPER_POLICIES`]); a scenario
-    /// can name any subset of the registry (`policies = conv, oracle, ...`).
+    /// can name any subset of the registry (`policies = extended, conv`).
     pub fn policies(&self) -> Vec<ReleasePolicy> {
         self.policies
             .clone()
@@ -358,6 +360,7 @@ mod tests {
         assert!(ExperimentOptions::parse_threads("many").is_err());
         assert!(ExperimentOptions::parse_threads("-1").is_err());
         assert!(ExperimentOptions::parse_budget("1e6").is_err());
+        assert!(ExperimentOptions::parse_budget("0").is_err());
     }
 
     #[test]
@@ -404,10 +407,10 @@ mod tests {
             Scenario::table2().policies(),
             earlyreg_core::PAPER_POLICIES.to_vec()
         );
-        let scenario = Scenario::parse("p", "policies = conv, oracle").unwrap();
+        let scenario = Scenario::parse("p", "policies = extended, conv").unwrap();
         assert_eq!(
             scenario.policies(),
-            vec![ReleasePolicy::Conventional, ReleasePolicy::Oracle]
+            vec![ReleasePolicy::Extended, ReleasePolicy::Conventional]
         );
         // An unknown policy name fails with the registered ids enumerated.
         let error = Scenario::parse("p", "policies = conv, bogus").unwrap_err();

@@ -357,15 +357,8 @@ pub struct RunSummary {
     pub planned: usize,
     /// Distinct points after cross-experiment dedup.
     pub unique: usize,
-    /// Points answered by the on-disk cache.
-    pub cache_hits: usize,
-    /// Points answered by another in-flight computation (single-flight
-    /// resolvers only; always 0 for [`CacheResolver`]).
-    pub coalesced: usize,
-    /// Points actually simulated.
-    pub simulated: usize,
-    /// The full resolver counters, including `lru_hits`; the three fields
-    /// above are copies of its leading counters, kept for compatibility.
+    /// How the unique points were resolved (disk hits, coalesced joins,
+    /// simulations, LRU hits).
     pub resolve: ResolveStats,
 }
 
@@ -376,7 +369,11 @@ impl RunSummary {
     pub fn line(&self) -> String {
         let mut line = format!(
             "points: planned={} unique={} cache_hits={} coalesced={} simulated={}",
-            self.planned, self.unique, self.cache_hits, self.coalesced, self.simulated,
+            self.planned,
+            self.unique,
+            self.resolve.cache_hits,
+            self.resolve.coalesced,
+            self.resolve.simulated,
         );
         if self.resolve.lru_hits > 0 {
             line.push_str(&format!(" lru_hits={}", self.resolve.lru_hits));
@@ -538,22 +535,9 @@ pub fn run_with(
             experiments: experiments.iter().map(|e| e.id()).collect(),
             planned,
             unique: unique.len(),
-            cache_hits: resolve_stats.cache_hits,
-            coalesced: resolve_stats.coalesced,
-            simulated: resolve_stats.simulated,
             resolve: resolve_stats,
         },
     }
-}
-
-/// Run a set of experiments as one shared sweep against an optional disk
-/// cache.
-pub fn run(
-    experiments: &[&dyn Experiment],
-    ctx: &PlanContext,
-    cache: Option<&PointCache>,
-) -> EngineOutcome {
-    run_with(experiments, ctx, &CacheResolver { cache })
 }
 
 /// Run experiments selected by id through an explicit resolver and return
@@ -637,10 +621,11 @@ mod tests {
             experiments: vec!["fig10"],
             planned: 3,
             unique: 2,
-            cache_hits: 1,
-            coalesced: 0,
-            simulated: 1,
-            resolve: ResolveStats::default(),
+            resolve: ResolveStats {
+                cache_hits: 1,
+                simulated: 1,
+                ..ResolveStats::default()
+            },
         };
         assert_eq!(
             summary.line(),

@@ -3,8 +3,8 @@
 //!
 //! The compared set comes from the scenario ([`Scenario::policies`]); the
 //! default is the paper's canonical three (conventional / basic / extended),
-//! and any registered scheme — `oracle`, `counter`, future ones — joins the
-//! table via `policies = ...` with no code change here.
+//! and a scenario picks any subset or order of the registered schemes via
+//! `policies = ...` with no code change here.
 //!
 //! Paper reference points: for FP codes the basic mechanism gains ≈ 6 % and
 //! the extended ≈ 8 % over conventional; for integer codes basic is ≈ neutral

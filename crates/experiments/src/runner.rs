@@ -135,7 +135,7 @@ where
 /// order is deterministic), stable within each group.
 ///
 /// Grouping same-key items consecutively keeps each workload's shared
-/// decoded trace and kill plan hot while its policy/config points replay it;
+/// decoded trace hot while its policy/config points replay it;
 /// putting the largest groups first is longest-processing-time-first
 /// scheduling, which minimises the idle tail when the groups are distributed
 /// over worker threads.

@@ -44,3 +44,34 @@ fn exp_rejects_a_scenario_sweep_size_below_the_architectural_minimum() {
     let _ = std::fs::remove_file(&path);
     assert_rejected(output, "at least 33");
 }
+
+#[test]
+fn run_workload_rejects_a_zero_budget_and_a_zero_exception_interval() {
+    for (flag, needle) in [
+        ("--max-instructions", "budget must be at least 1"),
+        ("--exception-interval", "interval must be at least 1"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_run_workload"))
+            .args(["--workload", "swim", "--scale", "smoke", flag, "0"])
+            .output()
+            .expect("run_workload starts");
+        assert_rejected(output, needle);
+    }
+}
+
+#[test]
+fn exp_rejects_a_zero_budget() {
+    let output = Command::new(env!("CARGO_BIN_EXE_earlyreg-exp"))
+        .args([
+            "run",
+            "fig10",
+            "--scale",
+            "smoke",
+            "--no-cache",
+            "--max-instructions",
+            "0",
+        ])
+        .output()
+        .expect("earlyreg-exp starts");
+    assert_rejected(output, "instruction budget must be at least 1");
+}

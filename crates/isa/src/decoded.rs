@@ -5,8 +5,8 @@
 //! out-of-order simulator is identical for all of them — wrong paths are
 //! squashed, precise exceptions re-execute from the faulting instruction —
 //! so everything the architectural emulator computes (branch directions,
-//! effective addresses, result values, register kill positions) can be
-//! captured **once per program** and replayed by every point of a sweep.
+//! effective addresses, result values) can be captured **once per program**
+//! and replayed by every point of a sweep.
 //!
 //! [`DecodedTrace`] is that capture: one emulator pass recorded as
 //! struct-of-arrays columns indexed by *committed position* (emulator step
@@ -18,11 +18,6 @@
 //! recorded direction) are executed live, exactly as without a trace, so
 //! simulated timing and statistics are bit-identical either way.
 //!
-//! The trace also records the per-instruction register **kill events** (which
-//! logical-register version sees its true last use at each commit position) —
-//! the same future knowledge the oracle release scheme derives — so one
-//! emulator pass serves both the replay front-end and oracle-style schemes.
-//!
 //! Traces are identified by a content [`fingerprint`](DecodedTrace::fingerprint)
 //! over all columns.  Because a trace is a pure function of (program,
 //! capture budget), the experiment cache's `CacheKey` — which already hashes
@@ -30,26 +25,11 @@
 //! needs no cache-version bump precisely because it is bit-identical.
 
 use crate::program::Program;
-use crate::reg::{ArchReg, RegClass};
 use crate::Emulator;
 
 /// Sentinel trace index for instructions not covered by a trace (wrong-path
 /// fetches, or correct-path fetches past the capture budget).
 pub const NO_TRACE: u32 = u32::MAX;
-
-/// One register kill event: at committed position `pos`, the live version of
-/// logical register `reg` sees its true last use.  Mirrors (and feeds) the
-/// oracle scheme's commit-ordered kill plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KillEvent {
-    /// Commit position (index into the committed instruction stream).
-    pub pos: u32,
-    /// The logical register whose live version dies.
-    pub reg: ArchReg,
-    /// True when the dying version is the one *defined at* `pos` (a value
-    /// that is never read); false when `pos` is its last read.
-    pub own_def: bool,
-}
 
 /// A decoded, fully resolved execution trace of one program — see the module
 /// documentation.  Columns are parallel arrays indexed by committed position.
@@ -67,8 +47,6 @@ pub struct DecodedTrace {
     /// Resolved conditional-branch directions, one bit per position (false
     /// for everything that is not a conditional branch).
     taken_bits: Vec<u64>,
-    /// Register kill events, sorted by commit position (stable).
-    kills: Vec<KillEvent>,
     /// True when the capture reached the program's `Halt` (the trace covers
     /// the complete execution); false when the step budget ran out first.
     halted: bool,
@@ -95,27 +73,9 @@ impl DecodedTrace {
             payloads: Vec::with_capacity(cap.min(1 << 20)),
             mem_addrs: Vec::with_capacity(cap.min(1 << 20)),
             taken_bits: Vec::new(),
-            kills: Vec::new(),
             halted: false,
             fingerprint: 0,
         };
-
-        // Per logical-register version: position of the live definition
-        // (-1 = initial mapping) and its last read, if any — the same
-        // last-use bookkeeping the oracle kill plan performs.
-        #[derive(Clone, Copy)]
-        struct VersionState {
-            def: i64,
-            last_read: Option<u32>,
-        }
-        let reset = VersionState {
-            def: -1,
-            last_read: None,
-        };
-        let mut versions: [Vec<VersionState>; 2] = [
-            vec![reset; RegClass::Int.num_logical()],
-            vec![reset; RegClass::Fp.num_logical()],
-        ];
 
         let mut emu = Emulator::new(program);
         for pos in 0..cap {
@@ -126,29 +86,6 @@ impl DecodedTrace {
             let Some(instr) = program.fetch(emu.pc()).copied() else {
                 break;
             };
-
-            // Kill bookkeeping (reads before the definition: an instruction
-            // reading its own destination reads the previous version).
-            for src in [instr.src1, instr.src2].into_iter().flatten() {
-                versions[src.class().index()][src.index()].last_read = Some(pos);
-            }
-            if let Some(dst) = instr.dst {
-                let slot = &mut versions[dst.class().index()][dst.index()];
-                let (kill_pos, own_def) = match (slot.def, slot.last_read) {
-                    (_, Some(read)) => (read, false),
-                    (def, None) if def >= 0 => (def as u32, true),
-                    (_, None) => (0, false),
-                };
-                trace.kills.push(KillEvent {
-                    pos: kill_pos,
-                    reg: dst,
-                    own_def,
-                });
-                *slot = VersionState {
-                    def: i64::from(pos),
-                    last_read: None,
-                };
-            }
 
             let Some(outcome) = emu.step() else {
                 break;
@@ -180,14 +117,6 @@ impl DecodedTrace {
         }
         trace.halted = emu.halted();
         trace.taken_bits.resize(trace.pcs.len().div_ceil(64), 0);
-        // Kills are discovered at redefinition time; replay them in commit
-        // order (stable, so same-position events keep discovery order).
-        // Events discovered past the capture end are dropped: an unfinished
-        // trace has no complete future and [`DecodedTrace::kill_events`]
-        // callers must check [`DecodedTrace::halted`] anyway.
-        let len = trace.pcs.len() as u32;
-        trace.kills.retain(|k| k.pos < len.max(1));
-        trace.kills.sort_by_key(|k| k.pos);
         trace.fingerprint = trace.compute_fingerprint();
         trace
     }
@@ -203,7 +132,7 @@ impl DecodedTrace {
     }
 
     /// True when the capture reached the program's `Halt` — the trace covers
-    /// the complete execution and the kill events are the complete future.
+    /// the complete execution.
     pub fn halted(&self) -> bool {
         self.halted
     }
@@ -243,12 +172,6 @@ impl DecodedTrace {
         }
     }
 
-    /// The register kill events, sorted by commit position.  Only a halted
-    /// trace carries the *complete* future an oracle needs.
-    pub fn kill_events(&self) -> &[KillEvent] {
-        &self.kills
-    }
-
     /// Content fingerprint over every column (FNV-1a), computed at capture.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -271,11 +194,6 @@ impl DecodedTrace {
         for &w in &self.taken_bits {
             mix(w);
         }
-        for k in &self.kills {
-            mix(u64::from(k.pos));
-            mix(k.reg.index() as u64 ^ ((k.reg.class() == RegClass::Fp) as u64) << 8);
-            mix(k.own_def as u64);
-        }
         h
     }
 }
@@ -285,6 +203,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::instr::BranchCond;
+    use crate::reg::ArchReg;
 
     fn loop_program(n: i64) -> Program {
         let mut b = ProgramBuilder::new("trace-loop");
@@ -353,20 +272,5 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let other = DecodedTrace::capture(&loop_program(8), 1 << 20);
         assert_ne!(a.fingerprint(), other.fingerprint());
-    }
-
-    #[test]
-    fn kill_events_are_commit_ordered_and_complete() {
-        let p = loop_program(3);
-        let trace = DecodedTrace::capture(&p, 1 << 20);
-        assert!(trace.halted());
-        let kills = trace.kill_events();
-        assert!(!kills.is_empty());
-        assert!(kills.windows(2).all(|w| w[0].pos <= w[1].pos));
-        // Every redefinition in the committed stream produced one event.
-        let redefs = (0..trace.len())
-            .filter(|&i| p.instrs[trace.pc(i)].dst.is_some())
-            .count();
-        assert_eq!(kills.len(), redefs);
     }
 }

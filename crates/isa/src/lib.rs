@@ -42,7 +42,7 @@ pub mod semantics;
 
 pub use assembler::{assemble, assemble_program, ArgSpec, AsmError, Assembly};
 pub use builder::{Label, ProgramBuilder};
-pub use decoded::{DecodedTrace, KillEvent, NO_TRACE};
+pub use decoded::{DecodedTrace, NO_TRACE};
 pub use emulator::{ArchState, EmulationResult, Emulator, StepOutcome};
 pub use instr::{BranchCond, FuClass, Instruction, Opcode};
 pub use program::{Program, ProgramError};

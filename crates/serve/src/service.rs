@@ -226,7 +226,6 @@ impl Service {
                         "title".to_string(),
                         Value::Str(descriptor.title.to_string()),
                     ),
-                    ("paper".to_string(), Value::Bool(descriptor.paper)),
                 ])
             })
             .collect();
@@ -421,15 +420,15 @@ impl Service {
             ("unique".to_string(), Value::U64(summary.unique as u64)),
             (
                 "cache_hits".to_string(),
-                Value::U64(summary.cache_hits as u64),
+                Value::U64(summary.resolve.cache_hits as u64),
             ),
             (
                 "coalesced".to_string(),
-                Value::U64(summary.coalesced as u64),
+                Value::U64(summary.resolve.coalesced as u64),
             ),
             (
                 "simulated".to_string(),
-                Value::U64(summary.simulated as u64),
+                Value::U64(summary.resolve.simulated as u64),
             ),
             (
                 "lru_hits".to_string(),

@@ -208,7 +208,8 @@ fn every_registered_workload_round_trips_through_points() {
 
 /// Every policy id the registry (and therefore `GET /experiments`) lists is
 /// accepted by `POST /points` — the serve ↔ registry round-trip the CI
-/// policy-matrix smoke also exercises.
+/// policy-matrix smoke also exercises — and an unregistered id is a 400
+/// naming the registered ones.
 #[test]
 fn every_registered_policy_round_trips_through_points() {
     let server = start(test_config(None)).expect("bind");
@@ -222,9 +223,8 @@ fn every_registered_policy_round_trips_through_points() {
         .iter()
         .map(|p| p.get("id").and_then(Value::as_str).unwrap().to_string())
         .collect();
-    assert!(ids.contains(&"oracle".to_string()));
-    assert!(ids.contains(&"counter".to_string()));
-    for id in ids {
+    assert_eq!(ids, ["conv", "basic", "extended"]);
+    for id in &ids {
         let body = format!(
             r#"{{"scale":"smoke","max_instructions":2000,
                "points":[{{"workload":"perl","policy":"{id}","phys_int":64,"phys_fp":64}}]}}"#
@@ -232,6 +232,20 @@ fn every_registered_policy_round_trips_through_points() {
         let reply = request(addr, "POST", "/points", &body);
         assert_eq!(reply.status, 200, "policy '{id}': {}", reply.body);
         assert!(reply.body.contains(&format!("\"policy\":\"{id}\"")));
+    }
+    let unregistered = request(
+        addr,
+        "POST",
+        "/points",
+        r#"{"points":[{"workload":"perl","policy":"oracle","phys_int":64,"phys_fp":64}]}"#,
+    );
+    assert_eq!(unregistered.status, 400, "{}", unregistered.body);
+    for id in &ids {
+        assert!(
+            unregistered.body.contains(id.as_str()),
+            "{}",
+            unregistered.body
+        );
     }
     server.stop();
 }
@@ -543,10 +557,16 @@ fn run_endpoint_returns_report_envelopes() {
         "POST",
         "/run",
         r#"{"experiments":["fig10"],"scale":"smoke","max_instructions":2000,
-            "scenario":"policies = conv, counter"}"#,
+            "scenario":"policies = extended, conv"}"#,
     );
     assert_eq!(with_policies.status, 200, "{}", with_policies.body);
-    assert!(with_policies.body.contains("counter"));
+    assert!(
+        with_policies
+            .body
+            .contains(r#""policies":["extended","conv"]"#),
+        "{}",
+        with_policies.body
+    );
     let bad_policy_scenario = request(
         addr,
         "POST",
@@ -559,7 +579,9 @@ fn run_endpoint_returns_report_envelopes() {
         "{}",
         bad_policy_scenario.body
     );
-    assert!(bad_policy_scenario.body.contains("oracle"));
+    assert!(bad_policy_scenario
+        .body
+        .contains("registered: conv, basic, extended"));
 
     server.stop();
 }

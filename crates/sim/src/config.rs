@@ -203,6 +203,9 @@ impl MachineConfig {
         self.dcache.validate().map_err(|e| format!("dcache: {e}"))?;
         self.l2.validate().map_err(|e| format!("l2: {e}"))?;
         self.rename.validate().map_err(|e| format!("rename: {e}"))?;
+        if self.exceptions.interval == Some(0) {
+            return Err("exception interval must be at least 1 instruction".into());
+        }
         if self.rename.ros_size != self.ros_size {
             return Err(format!(
                 "rename.ros_size ({}) must match ros_size ({})",
@@ -277,5 +280,14 @@ mod tests {
     fn exception_injection_defaults_off() {
         let cfg = MachineConfig::icpp02(ReleasePolicy::Conventional, 64, 64);
         assert_eq!(cfg.exceptions.interval, None);
+    }
+
+    #[test]
+    fn zero_exception_interval_is_rejected() {
+        let mut cfg = MachineConfig::icpp02(ReleasePolicy::Conventional, 64, 64);
+        cfg.exceptions.interval = Some(0);
+        assert!(cfg.validate().unwrap_err().contains("exception interval"));
+        cfg.exceptions.interval = Some(1);
+        assert!(cfg.validate().is_ok());
     }
 }

@@ -10,11 +10,7 @@
 //! Register renaming and physical-register release are delegated entirely to
 //! [`earlyreg_core::RenameUnit`], so the same pipeline runs under every
 //! release scheme in the policy registry — the paper's conventional, basic
-//! and extended mechanisms (exactly the experiment the paper performs) as
-//! well as the oracle upper bound and any scheme registered later.  The only
-//! policy-aware step here is construction: schemes whose descriptor asks for
-//! a committed-trace kill plan get one derived from the architectural
-//! emulator.
+//! and extended mechanisms, exactly the experiment the paper performs.
 //!
 //! Wrong-path instructions are fetched, renamed and executed (consuming
 //! physical registers, issue slots and cache bandwidth) and are squashed when
@@ -59,52 +55,9 @@ use crate::profile::prof;
 use crate::replay::ReplayCursor;
 use crate::rob::{InstrState, ReorderBuffer, RobEntry};
 use crate::stats::SimStats;
-use earlyreg_core::{
-    InstrId, KillPlan, PhysReg, RenameStall, RenameUnit, RenamedInstr, SchemeSeed,
-};
+use earlyreg_core::{InstrId, PhysReg, ReleaseScheme, RenameStall, RenameUnit, RenamedInstr};
 use earlyreg_isa::{semantics, ArchReg, DecodedTrace, Opcode, Program, RegClass, NO_TRACE};
 use std::sync::Arc;
-
-/// The committed-trace kill plan for a shared program, memoized by `Arc`
-/// identity: experiment sweeps hand the same `Arc<Program>` to every
-/// simulator instance, so the architectural emulation behind an
-/// oracle-style scheme runs once per program instead of once per point.
-/// Entries are dropped when their program is (weak references), and the
-/// derivation runs outside the lock so distinct programs build in parallel
-/// (a racing duplicate derivation is benign — the plans are identical).
-/// `build` supplies the plan on a miss: either a fresh emulator pass
-/// ([`KillPlan::for_program`]) or a conversion of an already-captured
-/// replay trace ([`KillPlan::from_trace`]) — the plans are identical.
-fn memoized_kill_plan(
-    program: &Arc<Program>,
-    build: impl FnOnce() -> Result<KillPlan, String>,
-) -> Result<Arc<earlyreg_core::KillPlan>, String> {
-    use std::sync::{Mutex, Weak};
-    static CACHE: Mutex<Vec<(Weak<Program>, Arc<KillPlan>)>> = Mutex::new(Vec::new());
-
-    let lookup = |cache: &mut Vec<(Weak<Program>, Arc<KillPlan>)>| {
-        cache.retain(|(weak, _)| weak.strong_count() > 0);
-        cache.iter().find_map(|(weak, plan)| {
-            let strong = weak.upgrade()?;
-            Arc::ptr_eq(&strong, program).then(|| Arc::clone(plan))
-        })
-    };
-
-    if let Some(plan) = lookup(&mut CACHE.lock().expect("kill-plan cache poisoned")) {
-        return Ok(plan);
-    }
-    let fresh = Arc::new(build()?);
-    let mut cache = CACHE.lock().expect("kill-plan cache poisoned");
-    if let Some(plan) = lookup(&mut cache) {
-        return Ok(plan); // a racing builder won; use its (identical) plan
-    }
-    cache.push((Arc::downgrade(program), Arc::clone(&fresh)));
-    Ok(fresh)
-}
-
-fn kill_plan_for(program: &Arc<Program>) -> Result<Arc<earlyreg_core::KillPlan>, String> {
-    memoized_kill_plan(program, || KillPlan::for_program(program))
-}
 
 /// Bytes per instruction (used to form I-cache addresses).
 const INSTR_BYTES: u64 = 4;
@@ -219,41 +172,44 @@ impl Simulator {
     /// # Panics
     /// Panics if the configuration or the program is invalid.
     pub fn new(config: MachineConfig, program: impl Into<Arc<Program>>) -> Self {
-        Self::with_scheme_seed(config, program, SchemeSeed::default())
+        Self::build(config, program.into(), RenameUnit::new)
     }
 
     /// Build a simulator that feeds its pipeline from a pre-captured
     /// [`DecodedTrace`] of `program` instead of re-decoding and re-executing
     /// every instruction (see [`crate::replay`]).  Simulated timing and
     /// statistics are bit-identical to [`Simulator::new`]; sweeps use this
-    /// to share one capture pass across every policy×config point.  When the
-    /// scheme needs a kill plan and the trace covers the whole execution,
-    /// the plan is derived from the trace — no second emulator pass.
+    /// to share one capture pass across every policy×config point.
     pub fn with_replay(
         config: MachineConfig,
         program: impl Into<Arc<Program>>,
         trace: Arc<DecodedTrace>,
     ) -> Self {
-        let program: Arc<Program> = program.into();
-        let mut seed = SchemeSeed::default();
-        if config.rename.policy.descriptor().needs_kill_plan && trace.halted() {
-            seed.kill_plan = memoized_kill_plan(&program, || KillPlan::from_trace(&trace)).ok();
-        }
-        let mut sim = Self::with_scheme_seed(config, program, seed);
+        let mut sim = Self::new(config, program);
         sim.replay = Some(ReplayCursor::new(trace));
         sim
     }
 
-    /// As [`Simulator::new`], with explicit scheme construction data.  The
-    /// conformance harness uses this to inject deliberately-broken mutant
-    /// schemes through [`SchemeSeed::scheme_override`]; a missing kill plan
-    /// is still derived here when the policy's descriptor requires one.
-    pub fn with_scheme_seed(
+    /// As [`Simulator::new`], with the rename unit driven by `scheme` instead
+    /// of the registry's (see [`RenameUnit::with_scheme`]).  The conformance
+    /// harness injects deliberately-broken mutant schemes through it.
+    pub fn with_scheme(
         config: MachineConfig,
         program: impl Into<Arc<Program>>,
-        mut seed: SchemeSeed,
+        scheme: Box<dyn ReleaseScheme>,
     ) -> Self {
-        let program: Arc<Program> = program.into();
+        Self::build(config, program.into(), |rename| {
+            RenameUnit::with_scheme(rename, scheme)
+        })
+    }
+
+    /// Validate `config` and `program`, then assemble the machine around the
+    /// rename unit `rename_unit` builds.
+    fn build(
+        config: MachineConfig,
+        program: Arc<Program>,
+        rename_unit: impl FnOnce(earlyreg_core::RenameConfig) -> RenameUnit,
+    ) -> Self {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid machine configuration: {e}"));
@@ -267,24 +223,7 @@ impl Simulator {
         let phys_int = config.rename.phys_int;
         let phys_fp = config.rename.phys_fp;
 
-        // Oracle-style schemes need future knowledge: the committed-stream
-        // last-use plan, derived by running the architectural emulator over
-        // the program once.  Plans are memoized per shared program, so a
-        // sweep building many simulators over one `Arc<Program>` emulates it
-        // once, not once per point.  Schemes that don't ask cost nothing.
-        if seed.kill_plan.is_none()
-            && seed.scheme_override.is_none()
-            && config.rename.policy.descriptor().needs_kill_plan
-        {
-            let plan = kill_plan_for(&program).unwrap_or_else(|e| {
-                panic!(
-                    "cannot build the '{}' release scheme: {e}",
-                    config.rename.policy
-                )
-            });
-            seed.kill_plan = Some(plan);
-        }
-        let rename = RenameUnit::with_seed(config.rename, seed);
+        let rename = rename_unit(config.rename);
 
         Simulator {
             rename,

@@ -5,7 +5,7 @@
 //!
 //! A [`DecodedTrace`] records one architectural-emulator pass over a program:
 //! the committed instruction stream with resolved branch directions,
-//! effective addresses, result values and register kill events.  A simulator
+//! effective addresses and result values.  A simulator
 //! built with [`Simulator::with_replay`](crate::Simulator::with_replay)
 //! walks a cursor through that trace during fetch:
 //!
@@ -35,7 +35,7 @@
 //! ## Disabling replay
 //!
 //! Set `EARLYREG_NO_REPLAY=1` to make the sweep paths
-//! (`earlyreg-experiments`, `earlyreg-serve`, the throughput benchmark)
+//! (`earlyreg-experiments`, `earlyreg-serve`)
 //! construct plain live-front-end simulators — useful when bisecting a
 //! suspected replay bug, at the cost of sweep throughput.
 
@@ -54,10 +54,9 @@ pub fn replay_disabled() -> bool {
     std::env::var_os("EARLYREG_NO_REPLAY").is_some_and(|v| !v.is_empty())
 }
 
-/// The decoded trace for a shared program, memoized by `Arc` identity like
-/// the oracle kill plan: experiment sweeps hand the same `Arc<Program>` to
-/// every point, so the capture pass runs once per (program, budget) instead
-/// of once per point.  A cached trace is reused when it already covers
+/// The decoded trace for a shared program, memoized by `Arc` identity:
+/// experiment sweeps hand the same `Arc<Program>` to every point, so the
+/// capture pass runs once per (program, budget) instead of once per point.  A cached trace is reused when it already covers
 /// `min_steps` (or the whole execution); a longer request replaces it.
 /// Entries are dropped when their program is; a racing duplicate capture is
 /// benign — the traces are identical.

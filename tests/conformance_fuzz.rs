@@ -13,8 +13,8 @@
 //!   caught anything proves nothing).
 
 use earlyreg::conformance::{
-    check_all_policies, check_program, check_with_scheme, compile, load_dir, minimize, plan_blocks,
-    test_support, CheckConfig, HazardConfig, ReleaseAtRenameMutant,
+    check_all_policies, check_with_scheme, compile, load_dir, minimize, plan_blocks, test_support,
+    CheckConfig, HazardConfig, ReleaseAtRenameMutant,
 };
 use earlyreg::core::ReleasePolicy;
 use proptest::prelude::*;
@@ -166,17 +166,20 @@ fn checked_in_fixtures_replay_clean_under_every_policy() {
     }
 }
 
-/// The exact duplicate-stale-mapping scenario the fuzzer caught in the
-/// oracle scheme (a recycled register named by both a stale and a live
-/// speculative mapping) stays fixed, pinned by its original case seed.
+/// The case seed behind the duplicate-stale-mapping fix (a recycled register
+/// named by both a stale and a live speculative mapping; freeing it must
+/// flag every matching map entry).  The fuzzer caught it under a scheme that
+/// is no longer registered; the program stays pinned under every registered
+/// policy.
 #[test]
 fn oracle_duplicate_stale_mapping_regression() {
     let hazard = HazardConfig::from_case_seed(42);
     let program = Arc::new(compile(&hazard, &plan_blocks(&hazard)));
     let check = CheckConfig {
         max_cycles: TEST_MAX_CYCLES,
-        ..CheckConfig::new(ReleasePolicy::Oracle)
+        ..CheckConfig::new(ReleasePolicy::Conventional)
     };
-    check_program(&check, &program)
-        .unwrap_or_else(|v| panic!("oracle regression (case seed 42) reappeared: {v}"));
+    for (policy, result) in check_all_policies(&check, &program) {
+        result.unwrap_or_else(|v| panic!("case seed 42 violated under policy {policy}: {v}"));
+    }
 }

@@ -42,8 +42,8 @@ fn run_all_writes_json_reports_that_round_trip() {
         outcome.summary.planned > outcome.summary.unique,
         "overlapping experiments dedup"
     );
-    assert_eq!(outcome.summary.cache_hits, 0);
-    assert_eq!(outcome.summary.simulated, outcome.summary.unique);
+    assert_eq!(outcome.summary.resolve.cache_hits, 0);
+    assert_eq!(outcome.summary.resolve.simulated, outcome.summary.unique);
 
     for report in &outcome.reports {
         let path = out.join(format!("{}.json", report.experiment));
@@ -110,14 +110,17 @@ fn warm_cache_run_hits_every_point_and_reproduces_reports() {
 
     let cold = engine::run_to_files(&ids, &ctx, Some(&cache), Format::Text, None)
         .expect("cold run succeeds");
-    assert_eq!(cold.summary.cache_hits, 0);
-    assert!(cold.summary.simulated > 0);
+    assert_eq!(cold.summary.resolve.cache_hits, 0);
+    assert!(cold.summary.resolve.simulated > 0);
 
     let warm = engine::run_to_files(&ids, &ctx, Some(&cache), Format::Text, None)
         .expect("warm run succeeds");
     assert_eq!(warm.summary.unique, cold.summary.unique);
-    assert_eq!(warm.summary.cache_hits, warm.summary.unique, "fully warm");
-    assert_eq!(warm.summary.simulated, 0);
+    assert_eq!(
+        warm.summary.resolve.cache_hits, warm.summary.unique,
+        "fully warm"
+    );
+    assert_eq!(warm.summary.resolve.simulated, 0);
     for (a, b) in cold.reports.iter().zip(&warm.reports) {
         assert_eq!(a.text, b.text, "{}: warm text differs", a.experiment);
         assert_eq!(a.data, b.data, "{}: warm data differs", a.experiment);

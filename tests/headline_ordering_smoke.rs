@@ -29,7 +29,7 @@ fn ipc(workload: &Workload, policy: ReleasePolicy) -> f64 {
 }
 
 #[test]
-fn oracle_beats_extended_beats_basic_beats_conventional_on_a_pressure_bound_workload() {
+fn extended_beats_basic_beats_conventional_under_register_pressure() {
     // swim: loop-dominated FP code with many simultaneously-live values —
     // the class of workload the paper's Figure 11 shows gaining most.
     let swim = workload_by_name("swim", Scale::Smoke).expect("swim is in the suite");
@@ -37,7 +37,6 @@ fn oracle_beats_extended_beats_basic_beats_conventional_on_a_pressure_bound_work
     let conventional = ipc(&swim, ReleasePolicy::Conventional);
     let basic = ipc(&swim, ReleasePolicy::Basic);
     let extended = ipc(&swim, ReleasePolicy::Extended);
-    let oracle = ipc(&swim, ReleasePolicy::Oracle);
 
     assert!(
         basic >= conventional,
@@ -46,12 +45,6 @@ fn oracle_beats_extended_beats_basic_beats_conventional_on_a_pressure_bound_work
     assert!(
         extended >= basic,
         "headline ordering violated: extended IPC {extended:.4} < basic IPC {basic:.4}"
-    );
-    // The oracle releases every register at its true last use — the ideal
-    // curve no hardware mechanism can beat.
-    assert!(
-        oracle >= extended,
-        "headline ordering violated: oracle IPC {oracle:.4} < extended IPC {extended:.4}"
     );
     // The ordering must also be materially visible at this register count,
     // not a tie: the paper reports double-digit gains for FP codes.
@@ -70,35 +63,9 @@ fn headline_ordering_holds_on_an_assembled_real_kernel() {
 
     let conventional = ipc(&blur, ReleasePolicy::Conventional);
     let extended = ipc(&blur, ReleasePolicy::Extended);
-    let oracle = ipc(&blur, ReleasePolicy::Oracle);
 
     assert!(
         extended >= conventional * 1.02,
         "extended IPC {extended:.4} shows no material gain over conventional {conventional:.4} on box_blur"
-    );
-    assert!(
-        oracle >= extended * 0.98,
-        "oracle IPC {oracle:.4} fell materially below extended {extended:.4} on box_blur"
-    );
-}
-
-#[test]
-fn counter_scheme_lands_between_conventional_and_basic() {
-    // The counter-based scheme captures the basic mechanism's immediate
-    // release/reuse wins without its Last-Uses CAM: it must never lose to
-    // conventional (beyond noise) and never beat basic (beyond noise).
-    let swim = workload_by_name("swim", Scale::Smoke).expect("swim is in the suite");
-
-    let conventional = ipc(&swim, ReleasePolicy::Conventional);
-    let basic = ipc(&swim, ReleasePolicy::Basic);
-    let counter = ipc(&swim, ReleasePolicy::Counter);
-
-    assert!(
-        counter >= conventional * 0.98,
-        "counter IPC {counter:.4} fell below conventional {conventional:.4}"
-    );
-    assert!(
-        counter <= basic * 1.02,
-        "counter IPC {counter:.4} implausibly beats the CAM-based basic {basic:.4}"
     );
 }

@@ -206,16 +206,4 @@ proptest! {
         // 34 registers per class = 32 architectural + 2 rename buffers.
         drive(ReleasePolicy::Extended, 34, &ops, seed, 0.4);
     }
-
-    #[test]
-    fn counter_scheme_invariants_hold_under_random_streams(
-        ops in prop::collection::vec(op_strategy(), 20..200),
-        seed in any::<u64>(),
-    ) {
-        // The checkpoint-free counter scheme can be driven with raw rename
-        // streams like the paper policies (the oracle cannot: it needs a
-        // program trace, and is covered by the simulator-level property
-        // tests instead).
-        drive(ReleasePolicy::Counter, 44, &ops, seed, 0.3);
-    }
 }

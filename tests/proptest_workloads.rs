@@ -59,8 +59,8 @@ proptest! {
         registers in prop::sample::select(vec![36usize, 44, 56, 80]),
     ) {
         // The free-list safety oracle of the release layer, run across every
-        // policy in the registry (oracle and counter included): no scheme may
-        // ever free a physical register the ISA emulator still reads later.
+        // policy in the registry: no scheme may ever free a physical register
+        // the ISA emulator still reads later.
         // A violating release either trips the simulator's commit-time
         // discarded-value check (`oracle_violations`), diverges the final
         // architectural state from the golden model, or panics inside the

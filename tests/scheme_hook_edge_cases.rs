@@ -9,11 +9,10 @@
 //! * a misprediction squash that empties the whole window behind the branch;
 //! * back-to-back mispredicts (nested branches, youngest resolved first).
 //!
-//! Policies whose descriptor sets `needs_kill_plan` (the oracle) cannot be
-//! driven with raw rename streams — they need a program trace — so they run
-//! the same scenarios through the differential conformance harness on
-//! deterministic hazard programs instead; both paths end in the same
-//! invariant checks.
+//! Each scenario runs twice per policy: as a raw rename stream driven
+//! directly into the [`RenameUnit`], and through the differential
+//! conformance harness on a deterministic hazard program; both paths end in
+//! the same invariant checks.
 
 use earlyreg::conformance::{check_program, compile, CheckConfig, HazardBlock, HazardConfig};
 use earlyreg::core::{registry, InstrId, ReleasePolicy, RenameConfig, RenameUnit};
@@ -69,22 +68,6 @@ fn assert_ok(ru: &RenameUnit, context: &str) {
         .unwrap_or_else(|e| panic!("{context}: checkpoint incoherent: {e}"));
 }
 
-/// Direct-drive policies: everything registered except kill-plan schemes.
-fn stream_policies() -> impl Iterator<Item = ReleasePolicy> {
-    registry::descriptors()
-        .iter()
-        .filter(|d| !d.needs_kill_plan)
-        .map(|d| d.policy)
-}
-
-/// Kill-plan policies run the harness on a deterministic hazard scenario.
-fn harness_policies() -> impl Iterator<Item = ReleasePolicy> {
-    registry::descriptors()
-        .iter()
-        .filter(|d| d.needs_kill_plan)
-        .map(|d| d.policy)
-}
-
 fn run_harness_scenario(policy: ReleasePolicy, blocks: &[HazardBlock], exceptions: Option<u64>) {
     let hazard = HazardConfig {
         seed: 0x5CE2_14A1,
@@ -106,7 +89,7 @@ fn run_harness_scenario(policy: ReleasePolicy, blocks: &[HazardBlock], exception
 
 #[test]
 fn exception_with_branch_and_scheme_checkpoint_in_flight() {
-    for policy in stream_policies() {
+    for policy in registry::registered() {
         let mut ru = unit(policy);
         let context = format!("policy {policy}, exception in branch shadow");
 
@@ -142,7 +125,7 @@ fn exception_with_branch_and_scheme_checkpoint_in_flight() {
         }
         assert_eq!(ru.release_queue_marks(), 0, "{context}: marks must drain");
     }
-    for policy in harness_policies() {
+    for policy in registry::registered() {
         run_harness_scenario(
             policy,
             &[
@@ -156,7 +139,7 @@ fn exception_with_branch_and_scheme_checkpoint_in_flight() {
 
 #[test]
 fn mispredict_squash_empties_the_whole_window() {
-    for policy in stream_policies() {
+    for policy in registry::registered() {
         let mut ru = unit(policy);
         let context = format!("policy {policy}, squash to empty");
 
@@ -182,7 +165,7 @@ fn mispredict_squash_empties_the_whole_window() {
         assert_eq!(ru.in_flight_entries().count(), 0);
         assert_eq!(ru.release_queue_marks(), 0, "{context}: marks must drain");
     }
-    for policy in harness_policies() {
+    for policy in registry::registered() {
         run_harness_scenario(
             policy,
             &[
@@ -196,7 +179,7 @@ fn mispredict_squash_empties_the_whole_window() {
 
 #[test]
 fn back_to_back_mispredicts_restore_nested_checkpoints() {
-    for policy in stream_policies() {
+    for policy in registry::registered() {
         let mut ru = unit(policy);
         let context = format!("policy {policy}, back-to-back mispredicts");
 
@@ -235,7 +218,7 @@ fn back_to_back_mispredicts_restore_nested_checkpoints() {
         }
         assert_eq!(ru.release_queue_marks(), 0, "{context}: marks must drain");
     }
-    for policy in harness_policies() {
+    for policy in registry::registered() {
         run_harness_scenario(
             policy,
             &[HazardBlock::BranchStorm(4), HazardBlock::BranchShadow(3, 2)],

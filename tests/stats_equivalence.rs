@@ -69,72 +69,6 @@ fn golden_swim_extended_48_is_bit_identical() {
     assert_eq!(stats.release.fp.conventional_releases, 0);
 }
 
-/// Same golden point under the oracle scheme (PR 5's registry addition): the
-/// kill-plan-driven upper bound must stay bit-identical too, including its
-/// characteristic release signature — *everything* is released early at the
-/// killing instruction's commit, nothing conventionally, nothing at branch
-/// confirmation.
-#[test]
-fn golden_swim_oracle_48_is_bit_identical() {
-    let stats = golden_point(ReleasePolicy::Oracle);
-    eprintln!("golden oracle stats: {stats:#?}");
-
-    assert_eq!(stats.cycles, 2876);
-    assert_eq!(stats.committed, 3622);
-    assert_eq!(stats.fetched, 3689);
-    assert_eq!(stats.renamed, 3673);
-    assert_eq!(stats.squashed, 51);
-    assert!(stats.halted);
-    assert_eq!(stats.mispredicted_branches, 20);
-    assert_eq!(stats.exceptions, 0);
-    assert_eq!(stats.oracle_violations, 0);
-    assert_eq!(stats.rename_stalls.free_list, 2202);
-
-    assert_eq!(stats.release.int.allocations, 775);
-    assert_eq!(stats.release.int.early_at_lu_commit, 768);
-    assert_eq!(stats.release.int.squash_mispredict_frees, 7);
-    assert_eq!(stats.release.fp.allocations, 2480);
-    assert_eq!(stats.release.fp.early_at_lu_commit, 2472);
-    assert_eq!(stats.release.fp.squash_mispredict_frees, 8);
-    for class in [&stats.release.int, &stats.release.fp] {
-        assert_eq!(class.conventional_releases, 0);
-        assert_eq!(class.branch_confirm_releases, 0);
-        assert_eq!(class.reuses, 0);
-        assert_eq!(class.fallback_to_conventional, 0);
-    }
-}
-
-/// Same golden point under the counter scheme: its signature is heavy
-/// fallback-to-conventional (unconfirmed last uses) with a meaningful early
-/// slice, and more free-list stall cycles than the paper mechanisms.
-#[test]
-fn golden_swim_counter_48_is_bit_identical() {
-    let stats = golden_point(ReleasePolicy::Counter);
-    eprintln!("golden counter stats: {stats:#?}");
-
-    assert_eq!(stats.cycles, 3197);
-    assert_eq!(stats.committed, 3622);
-    assert_eq!(stats.fetched, 3691);
-    assert_eq!(stats.renamed, 3675);
-    assert_eq!(stats.squashed, 53);
-    assert!(stats.halted);
-    assert_eq!(stats.mispredicted_branches, 20);
-    assert_eq!(stats.exceptions, 0);
-    assert_eq!(stats.oracle_violations, 0);
-    assert_eq!(stats.rename_stalls.free_list, 2543);
-
-    assert_eq!(stats.release.int.allocations, 687);
-    assert_eq!(stats.release.int.reuses, 88);
-    assert_eq!(stats.release.int.conventional_releases, 585);
-    assert_eq!(stats.release.int.early_at_lu_commit, 95);
-    assert_eq!(stats.release.int.fallback_to_conventional, 592);
-    assert_eq!(stats.release.fp.allocations, 1609);
-    assert_eq!(stats.release.fp.reuses, 873);
-    assert_eq!(stats.release.fp.conventional_releases, 1124);
-    assert_eq!(stats.release.fp.early_at_lu_commit, 475);
-    assert_eq!(stats.release.fp.fallback_to_conventional, 1134);
-}
-
 // ---------------------------------------------------------------------------
 // Assembled kernels: one pinned golden point per registered asm workload
 // ---------------------------------------------------------------------------
@@ -296,11 +230,7 @@ fn replay_matches_live_for_every_registered_policy_on_asm_kernels() {
 #[test]
 fn replay_matches_live_under_exception_injection() {
     let workload = workload_by_name("swim", Scale::Smoke).expect("swim exists");
-    for policy in [
-        ReleasePolicy::Conventional,
-        ReleasePolicy::Extended,
-        ReleasePolicy::Oracle,
-    ] {
+    for policy in [ReleasePolicy::Conventional, ReleasePolicy::Extended] {
         let mut config = MachineConfig::icpp02(policy, 48, 48);
         config.exceptions.interval = Some(500);
         assert_replay_equivalent(
@@ -353,8 +283,6 @@ proptest! {
         policy in prop::sample::select(vec![
             ReleasePolicy::Conventional,
             ReleasePolicy::Extended,
-            ReleasePolicy::Oracle,
-            ReleasePolicy::Counter,
         ]),
     ) {
         let hazard = HazardConfig::from_case_seed(seed);
