@@ -1,12 +1,17 @@
-//! The transport layer: a `TcpListener` accept loop feeding a bounded
-//! request queue drained by a fixed pool of scoped worker threads (the same
-//! scoped-thread shape as `runner::run_parallel`).
+//! The transport layer: a blocking `TcpListener` accept loop feeding a
+//! bounded request queue drained by a fixed pool of scoped worker threads
+//! (the same scoped-thread shape as `runner::run_parallel`).
 //!
+//! * the accept loop **blocks** in `accept`, so a connection is queued the
+//!   moment it arrives — no sleep sits on the request path;
 //! * the queue is **bounded** — when it is full, new connections are
 //!   answered `503` with `Retry-After` immediately instead of piling up;
-//! * shutdown is **graceful** — on SIGINT/SIGTERM (or the service's
-//!   shutdown flag) the loop stops accepting, queued requests drain, and
-//!   every in-flight response completes before the process exits;
+//! * shutdown is **graceful** — a watcher thread checks the shutdown and
+//!   signal flags every 10 ms (`WATCH_TICK`); once draining begins it holds
+//!   the listener open for the drain grace window, then sets `stop` and
+//!   wakes the blocked `accept` by connecting to the listener itself.
+//!   Queued requests drain and every in-flight response completes before
+//!   the process exits;
 //! * a panicking request handler answers `500` and the worker survives.
 
 use crate::http::{self, ReadError, Response};
@@ -14,15 +19,18 @@ use crate::service::{Service, ServiceConfig};
 use crate::signal;
 use std::collections::VecDeque;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-/// How often the accept loop re-checks the shutdown flags while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// How often the shutdown watcher re-checks the shutdown and signal flags.
+const WATCH_TICK: Duration = Duration::from_millis(10);
+
+/// Pause after a failed `accept` (`EMFILE`, `ENFILE`, `ECONNABORTED`, ...).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Transport + service configuration of one server.
 #[derive(Debug, Clone)]
@@ -118,6 +126,7 @@ pub fn start(config: ServeConfig) -> io::Result<RunningServer> {
         thread::spawn(move || {
             accept_loop(
                 listener,
+                wake_address(addr),
                 &service,
                 &shutdown,
                 config.workers.max(1),
@@ -136,16 +145,17 @@ pub fn start(config: ServeConfig) -> io::Result<RunningServer> {
 
 fn accept_loop(
     listener: TcpListener,
+    wake: SocketAddr,
     service: &Service,
     shutdown: &AtomicBool,
     workers: usize,
     queue_capacity: usize,
     drain_grace: Duration,
 ) {
-    listener
-        .set_nonblocking(true)
-        .expect("listener supports non-blocking accept");
     let queue: Queue<TcpStream> = Queue::new(queue_capacity);
+    let stop = AtomicBool::new(false);
+    // Dropped when the accept loop exits, which ends the watcher's retries.
+    let (exited, accept_exited) = mpsc::channel::<()>();
 
     thread::scope(|scope| {
         for _ in 0..workers {
@@ -155,40 +165,76 @@ fn accept_loop(
                 }
             });
         }
+        let stop = &stop;
+        scope.spawn(move || watch_shutdown(shutdown, drain_grace, stop, accept_exited, wake));
 
-        // Once draining begins (signal or shutdown flag), `/readyz` already
-        // answers 503; the listener stays open for `drain_grace` more so
-        // requests racing the shutdown are served, not reset.
-        let mut draining_since: Option<std::time::Instant> = None;
-        loop {
-            if shutdown.load(Ordering::SeqCst) || signal::received() {
-                let since = *draining_since.get_or_insert_with(std::time::Instant::now);
-                if since.elapsed() >= drain_grace {
-                    break;
-                }
+        for accepted in listener.incoming() {
+            // Once `stop` is set, this is the watcher's wake-up connection
+            // (or a client racing it); dropping it closes it.
+            if stop.load(Ordering::SeqCst) {
+                break;
             }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
+            match accepted {
+                Ok(stream) => {
                     if let Err(rejected) = queue.push(stream) {
                         reject_busy(rejected);
                     }
                 }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => thread::sleep(ACCEPT_POLL),
+                // The one sleep left in the loop: a persistent error would
+                // otherwise spin the now-blocking `accept` hot.
+                Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
             }
         }
+        drop(exited);
         // Graceful drain: stop accepting, let the workers finish what is
         // queued and in flight, then fall out of the scope.
         queue.close();
     });
 }
 
+/// The shutdown watcher, off the request path.  Once draining begins
+/// (signal or shutdown flag), `/readyz` already answers 503; the listener
+/// stays open for `drain_grace` more so requests racing the shutdown are
+/// served, not reset.  Then it sets `stop` and connects to the listener to
+/// wake the blocked `accept`.  A thread is needed because the signal
+/// handler, installed with `signal(2)`, restarts an interrupted `accept`;
+/// only a real connection wakes it.  The wake-up is retried until the
+/// accept loop has exited, so one failed connect cannot hang shutdown.
+fn watch_shutdown(
+    shutdown: &AtomicBool,
+    drain_grace: Duration,
+    stop: &AtomicBool,
+    accept_exited: mpsc::Receiver<()>,
+    wake: SocketAddr,
+) {
+    while !(shutdown.load(Ordering::SeqCst) || signal::received()) {
+        thread::sleep(WATCH_TICK);
+    }
+    // A sleep, not a deadline: `Instant::now() + drain_grace` would
+    // overflow for `--drain-grace-ms 18446744073709551615`.
+    thread::sleep(drain_grace);
+    stop.store(true, Ordering::SeqCst);
+    loop {
+        let _ = TcpStream::connect(wake);
+        if accept_exited.recv_timeout(WATCH_TICK) != Err(mpsc::RecvTimeoutError::Timeout) {
+            return;
+        }
+    }
+}
+
+/// The address the watcher dials to wake `accept`: the listener's own,
+/// with an unspecified IP (`0.0.0.0`, `::`) replaced by the loopback
+/// address of the same family.
+fn wake_address(listening: SocketAddr) -> SocketAddr {
+    let ip = match listening.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, listening.port())
+}
+
 fn handle_connection(mut stream: TcpStream, service: &Service) {
-    // Accepted sockets do not inherit the listener's non-blocking mode on
-    // the platforms we support, but make it explicit.
-    let _ = stream.set_nonblocking(false);
     let (response, fully_read) = match http::read_request(&mut stream) {
         Ok(request) => (
             match catch_unwind(AssertUnwindSafe(|| service.handle(&request))) {
@@ -231,7 +277,6 @@ fn reject_busy(mut stream: TcpStream) {
         return; // overload upon overload: just drop the connection
     }
     thread::spawn(move || {
-        let _ = stream.set_nonblocking(false);
         let fully_read =
             http::read_request_timeout(&mut stream, Duration::from_millis(250)).is_ok();
         let response = Response::error(503, "request queue is full, retry shortly")
@@ -322,6 +367,15 @@ mod tests {
         assert_eq!(queue.pop(), Some(2));
         assert_eq!(queue.pop(), Some(3));
         assert_eq!(queue.pop(), None);
+    }
+
+    #[test]
+    fn wake_address_dials_loopback_for_unspecified_listeners() {
+        let wake = |addr: &str| wake_address(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("127.0.0.1:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
     }
 
     #[test]

@@ -76,8 +76,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Build the service; `shutdown` is the flag the accept loop watches
-    /// (set by `POST /shutdown` when allowed).
+    /// Build the service; `shutdown` is the flag the server's shutdown
+    /// watcher checks (set by `POST /shutdown` when allowed).
     pub fn new(config: ServiceConfig, shutdown: Arc<AtomicBool>) -> Self {
         let cache = config.cache_dir.clone().map(PointCache::new);
         Service {

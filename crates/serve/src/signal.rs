@@ -2,8 +2,9 @@
 //!
 //! `std` already links the platform C library on Unix, so declaring
 //! `signal(2)` ourselves is enough; the handler only stores to an atomic
-//! (async-signal-safe).  The accept loop polls [`received`] between
-//! accepts, so delivery latency is one poll interval.
+//! (async-signal-safe).  The server's shutdown watcher checks [`received`]
+//! on its tick, so delivery latency is one watcher tick, off the request
+//! path.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

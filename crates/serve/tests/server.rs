@@ -688,3 +688,55 @@ fn shutdown_endpoint_is_disabled_by_default() {
     assert_eq!(request(server.addr, "GET", "/healthz", "").status, 200);
     server.stop();
 }
+
+/// Run `stop()` on a helper thread; false when it has not returned within
+/// 10 s, so a waker that cannot reach the listener fails instead of hanging.
+fn stops_within_10s(server: earlyreg_serve::RunningServer) -> bool {
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.stop();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .is_ok()
+}
+
+/// The accept loop blocks in `accept`; stopping wakes it by connecting to
+/// the listener's own address, which for an unspecified bind (`0.0.0.0`)
+/// must be loopback.  Both a server that served a request and one that
+/// never saw a connection stop.
+#[test]
+fn unspecified_address_server_stops_through_the_loopback_waker() {
+    let unspecified = || ServeConfig {
+        addr: "0.0.0.0".to_string(),
+        ..test_config(None)
+    };
+    let server = start(unspecified()).expect("bind");
+    let local = SocketAddr::from(([127, 0, 0, 1], server.addr.port()));
+    assert_eq!(request(local, "GET", "/healthz", "").status, 200);
+    assert!(
+        stops_within_10s(server),
+        "a served 0.0.0.0 server must stop"
+    );
+
+    let idle = start(unspecified()).expect("bind");
+    assert!(stops_within_10s(idle), "an idle 0.0.0.0 server must stop");
+}
+
+/// No sleep on the request path: 50 sequential requests on fresh
+/// connections finish far inside one 10 ms poll per request.
+#[test]
+fn sequential_requests_do_not_wait_on_a_poll() {
+    let server = start(test_config(None)).expect("bind");
+    let begun = std::time::Instant::now();
+    for _ in 0..50 {
+        assert_eq!(request(server.addr, "GET", "/healthz", "").status, 200);
+    }
+    let elapsed = begun.elapsed();
+    server.stop();
+    assert!(
+        elapsed < std::time::Duration::from_millis(250),
+        "50 sequential /healthz took {elapsed:?}"
+    );
+}
