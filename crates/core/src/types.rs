@@ -130,7 +130,7 @@ impl ReleasePolicy {
 
     /// Parse a policy name against the registry, case-insensitively,
     /// accepting ids and aliases — the one parser behind every user-facing
-    /// surface (`run_workload --policy`, `Scenario` files, the
+    /// surface (`earlyreg-exp point --policy`, `Scenario` files, the
     /// `earlyreg-serve` JSON API), so the accepted spellings cannot drift.
     /// Unknown names fail with a message enumerating the registered ids.
     pub fn parse(name: &str) -> Result<Self, String> {

@@ -32,14 +32,6 @@ impl Default for ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// Options for the given scale with defaults for everything else.
-    pub fn with_scale(scale: Scale) -> Self {
-        ExperimentOptions {
-            scale,
-            ..Default::default()
-        }
-    }
-
     /// Parse one scale name.
     pub fn parse_scale(value: &str) -> Result<Scale, String> {
         match value {
@@ -50,7 +42,7 @@ impl ExperimentOptions {
         }
     }
 
-    /// Parse a `--threads`/`--jobs` value.
+    /// Parse a `--jobs` value.
     pub fn parse_threads(value: &str) -> Result<usize, String> {
         value
             .parse()
@@ -151,15 +143,6 @@ impl Scenario {
             name: "table2".to_string(),
             ..Default::default()
         }
-    }
-
-    /// True when the scenario changes nothing relative to Table 2.
-    pub fn is_baseline(&self) -> bool {
-        let baseline = Scenario {
-            name: self.name.clone(),
-            ..Default::default()
-        };
-        *self == baseline
     }
 
     /// Build the machine for one point: Table 2, overridden by the scenario.
@@ -344,7 +327,7 @@ mod tests {
         let threads = ExperimentOptions::parse_threads("3").unwrap();
         let o = ExperimentOptions {
             threads,
-            ..ExperimentOptions::with_scale(Scale::Smoke)
+            ..ExperimentOptions::default()
         };
         assert_eq!(o.effective_threads(), 3);
     }
@@ -373,7 +356,14 @@ mod tests {
     #[test]
     fn baseline_scenario_is_table2() {
         let scenario = Scenario::table2();
-        assert!(scenario.is_baseline());
+        // No override: only the name differs from the empty scenario.
+        assert_eq!(
+            scenario,
+            Scenario {
+                name: "table2".to_string(),
+                ..Scenario::default()
+            }
+        );
         let config = scenario.machine(ReleasePolicy::Extended, 96, 96);
         assert_eq!(
             config,
@@ -390,7 +380,6 @@ mod tests {
             memory_latency = 120  # slow DRAM\n\
             sweep_sizes = 40, 48, 64\n";
         let scenario = Scenario::parse("tight", text).unwrap();
-        assert!(!scenario.is_baseline());
         assert_eq!(scenario.name, "tight");
         assert_eq!(scenario.sweep_sizes(), vec![40, 48, 64]);
         let config = scenario.machine(ReleasePolicy::Basic, 48, 48);

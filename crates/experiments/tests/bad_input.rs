@@ -1,6 +1,10 @@
 //! Bad input to the command-line tools is an error with a message and exit
-//! code 2, never a panic (exit code 101).
+//! code 2, never a panic (exit code 101); plus the one `earlyreg-exp point`
+//! run that must succeed and agree with the engine.
 
+use earlyreg_experiments::engine::{self, PlanContext};
+use earlyreg_experiments::{fig10, ExperimentOptions, Scenario};
+use earlyreg_workloads::Scale;
 use std::process::{Command, Output};
 
 fn assert_rejected(output: Output, needle: &str) {
@@ -10,18 +14,33 @@ fn assert_rejected(output: Output, needle: &str) {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// `earlyreg-exp point` on smoke-scale swim with one more flag and value.
+fn point_with(flag: &str, value: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_earlyreg-exp"))
+        .args(["point", "--workload", "swim", "--scale", "smoke"])
+        .args([flag, value])
+        .output()
+        .expect("earlyreg-exp starts")
+}
+
 #[test]
-fn run_workload_rejects_out_of_range_register_counts() {
+fn point_rejects_bad_register_counts_workloads_and_policies() {
+    let workloads = format!(
+        "unknown workload 'doom' (registered: {})",
+        earlyreg_workloads::registry::ids().join(", ")
+    );
+    let policies = format!(
+        "unknown policy 'bogus' (registered: {})",
+        earlyreg_core::registry::ids().join(", ")
+    );
     for (flag, value, needle) in [
         ("--int-regs", "10", "at least 33"),
         ("--fp-regs", "10", "at least 33"),
         ("--fp-regs", "100000000000", "exceeds the PhysReg range"),
+        ("--workload", "doom", workloads.as_str()),
+        ("--policy", "bogus", policies.as_str()),
     ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_run_workload"))
-            .args(["--workload", "swim", "--scale", "smoke", flag, value])
-            .output()
-            .expect("run_workload starts");
-        assert_rejected(output, needle);
+        assert_rejected(point_with(flag, value), needle);
     }
 }
 
@@ -46,16 +65,13 @@ fn exp_rejects_a_scenario_sweep_size_below_the_architectural_minimum() {
 }
 
 #[test]
-fn run_workload_rejects_a_zero_budget_and_a_zero_exception_interval() {
-    for (flag, needle) in [
-        ("--max-instructions", "budget must be at least 1"),
-        ("--exception-interval", "interval must be at least 1"),
+fn point_rejects_a_zero_budget_a_zero_interval_and_run_only_flags() {
+    for (flag, value, needle) in [
+        ("--max-instructions", "0", "budget must be at least 1"),
+        ("--exception-interval", "0", "interval must be at least 1"),
+        ("--format", "json", "unknown argument '--format'"),
     ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_run_workload"))
-            .args(["--workload", "swim", "--scale", "smoke", flag, "0"])
-            .output()
-            .expect("run_workload starts");
-        assert_rejected(output, needle);
+        assert_rejected(point_with(flag, value), needle);
     }
 }
 
@@ -74,4 +90,53 @@ fn exp_rejects_a_zero_budget() {
         .output()
         .expect("earlyreg-exp starts");
     assert_rejected(output, "instruction budget must be at least 1");
+}
+
+/// The value printed after `label` on its own statistics line.
+fn stat(stdout: &str, label: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|line| line.strip_prefix(label))
+        .and_then(|rest| rest.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no '{label}' line in:\n{stdout}"))
+}
+
+#[test]
+fn point_names_the_planned_digest_and_matches_the_engine() {
+    let args = "point --workload swim --policy conv --int-regs 48 --fp-regs 48 \
+                --scale smoke --max-instructions 20000 --verify";
+    let output = Command::new(env!("CARGO_BIN_EXE_earlyreg-exp"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("earlyreg-exp starts");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(output.status.code(), Some(0), "{output:?}");
+    assert!(
+        stdout.contains("golden-model verification: MATCH"),
+        "{stdout}"
+    );
+
+    let header = stdout.lines().next().expect("header line");
+    let digest = header
+        .rsplit_once("— point ")
+        .map(|(_, digest)| digest)
+        .unwrap_or_else(|| panic!("no digest in '{header}'"));
+    assert_eq!(digest.len(), 16, "{header}");
+
+    let ctx = PlanContext::new(
+        ExperimentOptions {
+            scale: Scale::Smoke,
+            threads: 1,
+            max_instructions: 20_000,
+        },
+        Scenario::table2(),
+    );
+    let planned = fig10::plan(&ctx)
+        .into_iter()
+        .find(|p| format!("{:016x}", p.digest) == digest)
+        .unwrap_or_else(|| panic!("digest {digest} is not in fig10's plan"));
+    let results = engine::simulate(&ctx, std::slice::from_ref(&planned));
+    let stats = results.stats(&planned).expect("the planned point resolves");
+    assert_eq!(stat(&stdout, "cycles "), stats.cycles);
+    assert_eq!(stat(&stdout, "committed instructions "), stats.committed);
 }

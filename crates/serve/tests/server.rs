@@ -297,8 +297,8 @@ fn routing_rejects_unknown_paths_methods_and_bad_json() {
     server.stop();
 }
 
-/// The service accepts the same policy spellings as `run_workload --policy`
-/// (one shared parser): abbreviations and any casing.
+/// The service accepts the same policy spellings as `earlyreg-exp point
+/// --policy` (one shared parser): abbreviations and any casing.
 #[test]
 fn policy_aliases_match_the_cli() {
     let server = start(test_config(None)).expect("bind");
@@ -362,7 +362,8 @@ fn expect_100_continue_is_answered() {
 
 /// Contract: a warm `POST /points` body is bit-identical to the
 /// cold one, the point is simulated exactly once, and the counters move to
-/// the headers (not the body) so identity holds.
+/// the headers (not the body) so identity holds.  A server restarted on the
+/// same cache directory answers it from disk, bit-identically again.
 #[test]
 fn warm_points_response_is_bit_identical_to_cold() {
     let cache_dir = temp_cache("warmcold");
@@ -409,8 +410,21 @@ fn warm_points_response_is_bit_identical_to_cold() {
         .and_then(Value::as_u64)
         .expect("committed counter");
     assert!(committed > 1_000, "committed = {committed}");
-
     server.stop();
+
+    // A new server on the same cache directory starts with an empty LRU, so
+    // the disk tier answers, with the same digest and the same bytes.
+    let restarted = start(test_config(Some(cache_dir.clone()))).expect("bind");
+    let disk = request(restarted.addr, "POST", "/points", SWIM_POINT);
+    assert_eq!(disk.status, 200, "{}", disk.body);
+    assert_eq!(disk.header("x-cache-hits"), Some("1"));
+    assert_eq!(disk.header("x-lru-hits"), Some("0"));
+    assert_eq!(disk.header("x-simulated"), Some("0"));
+    assert_eq!(disk.header("x-point-digest"), cold.header("x-point-digest"));
+    assert_eq!(cold.body, disk.body, "disk body must be bit-identical");
+    assert_eq!(restarted.service().simulations(), 0);
+
+    restarted.stop();
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 

@@ -1,20 +1,19 @@
 //! Front-end structures: fetched instructions, the fetch buffer that sits
-//! between the fetch and rename stages, and the shared per-PC fetch
-//! precompute table.
+//! between the fetch and rename stages, and the per-PC fetch precompute
+//! table.
 //!
 //! The fetch *logic* (I-cache access, prediction, redirects) lives in
 //! [`pipeline`](crate::pipeline) because it needs the predictor, the memory
 //! hierarchy and the program at once; this module holds the data types plus
 //! the [`FrontEndTable`]: everything the fetch stage derives from the
 //! *static* program — instruction kind, I-cache line index, control-transfer
-//! target — computed once per (program, line size) and shared by every
-//! point of a sweep.  *Dynamic* front-end state (predictor counters, replay
-//! cursor, I-cache tags) stays per simulator.
+//! target — computed once when a simulator is built, so the fetch loop does
+//! no per-instruction index math.  *Dynamic* front-end state (predictor
+//! counters, replay cursor, I-cache tags) lives beside it in the simulator.
 
 use crate::branch::Prediction;
 use earlyreg_isa::{Instruction, Opcode, Program};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, Weak};
 
 /// Per-PC fetch classification: not a control transfer.
 pub const FETCH_OTHER: u8 = 0;
@@ -38,9 +37,9 @@ pub struct FetchInfo {
 
 /// Precomputed per-PC fetch facts for one program under one I-cache line
 /// size.  The fetch stage's index math (byte address → line division, opcode
-/// classification, target extraction) is identical for every sweep point
-/// running the same workload, so it is computed once here and shared.
-#[derive(Debug)]
+/// classification, target extraction) depends only on the static program,
+/// so it is computed once here: one entry per static instruction.
+#[derive(Debug, Clone)]
 pub struct FrontEndTable {
     info: Vec<FetchInfo>,
 }
@@ -85,34 +84,6 @@ impl FrontEndTable {
     pub fn is_empty(&self) -> bool {
         self.info.is_empty()
     }
-}
-
-/// The shared front-end table for a program, memoized by `Arc` identity and
-/// line size like [`decoded_trace_for`](crate::decoded_trace_for): every
-/// point of a sweep running the same workload gets the same table.  Entries
-/// are dropped when their program is; a racing duplicate build is benign.
-pub fn front_end_table_for(program: &Arc<Program>, line_bytes: u64) -> Arc<FrontEndTable> {
-    type CacheEntry = (Weak<Program>, u64, Arc<FrontEndTable>);
-    static CACHE: Mutex<Vec<CacheEntry>> = Mutex::new(Vec::new());
-
-    let lookup = |cache: &mut Vec<CacheEntry>| {
-        cache.retain(|(weak, _, _)| weak.strong_count() > 0);
-        cache.iter().find_map(|(weak, lb, table)| {
-            let strong = weak.upgrade()?;
-            (Arc::ptr_eq(&strong, program) && *lb == line_bytes).then(|| Arc::clone(table))
-        })
-    };
-
-    if let Some(table) = lookup(&mut CACHE.lock().expect("front-end table cache poisoned")) {
-        return table;
-    }
-    let fresh = Arc::new(FrontEndTable::build(program, line_bytes));
-    let mut cache = CACHE.lock().expect("front-end table cache poisoned");
-    if let Some(table) = lookup(&mut cache) {
-        return table;
-    }
-    cache.push((Arc::downgrade(program), line_bytes, Arc::clone(&fresh)));
-    fresh
 }
 
 /// One instruction delivered by the fetch stage.
@@ -234,9 +205,9 @@ mod tests {
         b.branch(BranchCond::Gt, r, None, top); // pc 2 → pc 1
         b.jump(start); // pc 3 → pc 0
         b.halt(); // pc 4
-        let p = Arc::new(b.build().unwrap());
+        let p = b.build().unwrap();
 
-        let t = front_end_table_for(&p, 32);
+        let t = FrontEndTable::build(&p, 32);
         assert_eq!(t.len(), p.instrs.len());
         assert_eq!(t.at(0).kind, FETCH_OTHER);
         assert_eq!(t.at(2).kind, FETCH_BRANCH);
@@ -247,13 +218,8 @@ mod tests {
         // 32-byte lines hold 8 four-byte instructions.
         assert_eq!(t.at(0).line, 0);
         assert_eq!(t.at(4).line, 0);
-
-        // Memoized per (program, line size).
-        let again = front_end_table_for(&p, 32);
-        assert!(Arc::ptr_eq(&t, &again));
-        let other_lines = front_end_table_for(&p, 16);
-        assert!(!Arc::ptr_eq(&t, &other_lines));
-        assert_eq!(other_lines.at(4).line, 1);
+        // 16-byte lines hold 4.
+        assert_eq!(FrontEndTable::build(&p, 16).at(4).line, 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod verify;
 pub use branch::{GsharePredictor, Prediction, PredictorStats};
 pub use cache::{Cache, CacheStats, HierarchyStats, MemoryHierarchy};
 pub use config::{CacheConfig, ExceptionConfig, MachineConfig, PredictorConfig};
-pub use frontend::{front_end_table_for, FetchInfo, FrontEndTable};
+pub use frontend::{FetchInfo, FrontEndTable};
 pub use fu::{FuPool, FuStats};
 pub use lsq::{ForwardResult, LoadStoreQueue};
 pub use pipeline::{RunLimits, Simulator};

@@ -46,8 +46,7 @@ use crate::branch::GsharePredictor;
 use crate::cache::MemoryHierarchy;
 use crate::config::MachineConfig;
 use crate::frontend::{
-    front_end_table_for, FetchBuffer, FetchedInstr, FrontEndTable, FETCH_BRANCH, FETCH_HALT,
-    FETCH_JUMP,
+    FetchBuffer, FetchedInstr, FrontEndTable, FETCH_BRANCH, FETCH_HALT, FETCH_JUMP,
 };
 use crate::fu::FuPool;
 use crate::lsq::{ForwardResult, LoadStoreQueue};
@@ -138,9 +137,8 @@ pub struct Simulator {
     memory: Vec<u64>,
 
     fetch_buffer: FetchBuffer,
-    /// Shared static per-PC fetch facts (kind, I-cache line, target); one
-    /// table per (program, line size) serves every point of a sweep.
-    fe_table: Arc<FrontEndTable>,
+    /// Static per-PC fetch facts (kind, I-cache line, target).
+    fe_table: FrontEndTable,
     fetch_pc: usize,
     fetch_halted: bool,
     fetch_stalled_until: u64,
@@ -243,7 +241,7 @@ impl Simulator {
             fp_ready: vec![true; phys_fp],
             memory,
             fetch_buffer: FetchBuffer::new(config.fetch_buffer),
-            fe_table: front_end_table_for(&program, config.icache.line_bytes as u64),
+            fe_table: FrontEndTable::build(&program, config.icache.line_bytes as u64),
             fetch_pc: 0,
             fetch_halted: false,
             fetch_stalled_until: 0,

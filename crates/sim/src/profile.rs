@@ -7,10 +7,10 @@
 //! nothing — the guards stay in the source as documentation of the phase
 //! boundaries.
 //!
-//! `run_workload` (built with `-p earlyreg-experiments --features profile`)
-//! prints the table after its statistics; there is no sampling profiler in
-//! the container, so this is the supported way to see where the five
-//! pipeline phases spend their time.
+//! `earlyreg-exp point` (built with `-p earlyreg-experiments --features
+//! profile`) prints the table after its statistics; without a sampling
+//! profiler, this is the supported way to see where the five pipeline
+//! phases spend their time.
 
 /// Profiling entry points; see the module docs.
 pub mod prof {

@@ -35,6 +35,4 @@ pub mod suite;
 
 pub use generic::{generic_workload, GenericWorkloadConfig};
 pub use registry::{WorkloadDescriptor, WorkloadKind};
-pub use suite::{
-    suite, workload_by_name, workload_with_target_instructions, Scale, Workload, WorkloadClass,
-};
+pub use suite::{suite, workload_by_name, Scale, Workload, WorkloadClass};

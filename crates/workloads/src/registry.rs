@@ -130,14 +130,10 @@ impl WorkloadDescriptor {
 
     /// Instantiate at one of the [`Scale`] presets.
     pub fn instantiate(&'static self, scale: Scale) -> Workload {
-        self.instantiate_with_target(scale.target_instructions())
-    }
-
-    /// Instantiate sized for an explicit dynamic-instruction budget.
-    pub fn instantiate_with_target(&'static self, target_instructions: u64) -> Workload {
+        let iterations = self.iterations_for_target(scale.target_instructions());
         Workload {
             spec: self,
-            program: Arc::new(self.build_program(self.iterations_for_target(target_instructions))),
+            program: Arc::new(self.build_program(iterations)),
         }
     }
 }

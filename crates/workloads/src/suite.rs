@@ -96,14 +96,6 @@ pub fn workload_by_name(name: &str, scale: Scale) -> Option<Workload> {
     registry::by_id(name).map(|d| d.instantiate(scale))
 }
 
-/// Build a single named workload sized so that its dynamic instruction count
-/// is approximately `target_instructions` (instead of one of the three
-/// [`Scale`] presets).  Used by the simulator-throughput benchmark, which
-/// needs a fixed, large instruction budget independent of the preset scales.
-pub fn workload_with_target_instructions(name: &str, target_instructions: u64) -> Option<Workload> {
-    registry::by_id(name).map(|d| d.instantiate_with_target(target_instructions))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
